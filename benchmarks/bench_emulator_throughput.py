@@ -10,8 +10,9 @@ execution tiers of :class:`repro.machine.cpu.CPU` on
   loop, nested loop) where hot loops close into generated ``while``
   loops and the >=5x target applies, and
 * two SPEC-personality mixes (call/return-heavy control flow) as
-  context — speedups there are bounded by trace-compile time and
-  indirect-control speculation, not by the loop path.
+  context — speedups there are bounded by trace-compile time and by
+  traces ending at every indirect call, jump and return, not by the
+  loop path.
 
 Every measurement asserts byte-identical ``RunResult`` fields
 (checksum, cycles, icount, icache_misses, transitions, counters)
@@ -23,9 +24,8 @@ Each kernel is measured twice and both rounds append a
 ``emulator-throughput/<kernel>``) to ``BENCH_history.json``, so
 ``repro perf check --each`` has a same-run baseline and gates the
 throughput alongside the rewrite samples.  A telemetry-attached run
-per kernel folds ``engine.guard_failure_rate`` and
-``engine.compile_seconds`` into those samples, so the sentinel gates
-speculation quality and JIT compile time too.  Run with ``--json
+per kernel folds ``engine.compile_seconds`` into those samples, so
+the sentinel gates JIT compile time too.  Run with ``--json
 BENCH_emulator.json`` to persist the per-kernel records.
 
 ``test_disabled_telemetry_guard_overhead`` is the standing guard for
@@ -156,10 +156,10 @@ def _experiment():
     # Telemetry pass, strictly *after* every timed round: the loop
     # kernels' speedup ratios are sequence-sensitive on a busy
     # machine, so no extra run may interleave with the measurements.
-    # One telemetry-attached run per workload folds the guard-failure
-    # rate and JIT compile seconds into each sample — the sentinel
-    # gates speculation/compile-time regressions alongside throughput
-    # — and must stay bit-identical to the detached rounds.
+    # One telemetry-attached run per workload folds the JIT compile
+    # seconds into each sample — the sentinel gates compile-time
+    # regressions alongside throughput — and must stay bit-identical
+    # to the detached rounds.
     for group, name, binary, rounds in measured:
         telemetry = EngineTelemetry()
         telem_res, _ = _timed_run(binary, "superblock",
@@ -175,7 +175,6 @@ def _experiment():
                 total_seconds=sb_s,
                 instructions=sb_res.icount,
                 cycles=sb_res.cycles,
-                guard_failure_rate=telemetry.guard_failure_rate,
                 engine_compile_seconds=telemetry.compile_seconds,
             ))
         # Best-of-rounds per engine: throughput is a capability

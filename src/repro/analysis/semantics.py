@@ -8,7 +8,6 @@ caller-clobbered, LR written by calls on the fixed-length architectures.
 
 from repro.isa.insn import (
     LOAD_MNEMONICS,
-    Mem,
     PCREL_LOAD_MNEMONICS,
     STORE_MNEMONICS,
 )
@@ -74,8 +73,3 @@ def uses_defs(insn, call_pushes_ra=True):
     if m in ("trap", "nop"):
         return set(), set()
     raise KeyError(f"no use/def model for mnemonic {m!r}")
-
-
-def is_stack_mem(operand):
-    """Is this memory operand a simple [sp + disp] slot?"""
-    return isinstance(operand, Mem) and operand.base == SP

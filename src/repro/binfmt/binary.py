@@ -115,9 +115,6 @@ class Binary:
         """Bytes loaded at run time (what binutils ``size`` counts)."""
         return sum(s.size for s in self.alloc_sections())
 
-    def file_size(self):
-        return len(self.to_bytes())
-
     # -- queries used by analyses ---------------------------------------------
 
     @property
@@ -127,12 +124,6 @@ class Binary:
 
     def function_symbols(self):
         return self.symbols.functions()
-
-    def relocation_at(self, addr):
-        for reloc in self.relocations:
-            if reloc.where == addr:
-                return reloc
-        return None
 
     def feature(self, flag):
         return flag in self.metadata.get("features", ())

@@ -1,6 +1,5 @@
 """Sections of the synthetic ELF-like binary format."""
 
-from repro.util.ints import align_up
 
 # Section flag constants.
 ALLOC = "ALLOC"   # loaded into memory at run time
@@ -78,9 +77,3 @@ class Section:
             f"<Section {self.name} [{self.addr:#x},{self.end:#x}) "
             f"{self.size} bytes {flags}>"
         )
-
-
-def place_after(sections, align=16):
-    """Next free address after the given sections, aligned."""
-    end = max((s.end for s in sections), default=0)
-    return align_up(end, align)

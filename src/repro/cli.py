@@ -30,6 +30,7 @@ Examples::
 """
 
 import argparse
+import gc
 import sys
 import time
 
@@ -463,6 +464,10 @@ def cmd_perf(args):
     history = BenchHistory(args.history)
     if args.action == "record":
         program, binary = _load_workload(args.workload, args.arch)
+        # Reclaim earlier garbage (an emulated run leaves reference
+        # cycles behind) so its collection cannot land inside a timed
+        # stage of this rewrite.
+        gc.collect()
         tracer = Tracer(name=f"perf:{args.workload}",
                         memory=not args.no_mem)
         metrics = Metrics()
@@ -476,24 +481,21 @@ def cmd_perf(args):
             print(f"perf record refused: {exc}", file=sys.stderr)
             return EXIT_REWRITE_ERROR
         total = time.perf_counter() - t0
-        instructions = cycles = None
-        guard_failure_rate = engine_compile_seconds = None
+        instructions = cycles = engine_compile_seconds = None
         if not args.no_run:
             # Run with engine telemetry attached so the sentinel can
-            # gate guard-failure-rate and compile-time regressions
-            # alongside the static rewrite costs.
+            # gate compile-time regressions alongside the static
+            # rewrite costs.
             telemetry = EngineTelemetry()
             result = run_binary(rewritten, runtime_lib=runtime,
                                 telemetry=telemetry)
             instructions, cycles = result.icount, result.cycles
-            guard_failure_rate = telemetry.guard_failure_rate
             engine_compile_seconds = telemetry.compile_seconds
         sample = PerfSample.from_rewrite(
             tracer, metrics, report,
             workload=args.workload, arch=args.arch, mode=args.mode,
             total_seconds=total, instructions=instructions,
-            cycles=cycles, guard_failure_rate=guard_failure_rate,
-            engine_compile_seconds=engine_compile_seconds,
+            cycles=cycles, engine_compile_seconds=engine_compile_seconds,
         )
         history.append(sample)
         mem = (f", peak {sample.mem_peak:,} bytes"
@@ -712,9 +714,9 @@ def cmd_run(args):
 
 def cmd_engine(args):
     """The engine observatory: run a binary with JIT telemetry attached
-    and print the ``EngineReport/v1`` — hot blocks ranked by attributed
-    cycles, guard sites ranked by misses, the compile-vs-execute time
-    split, and block-cache lifecycle counters."""
+    and print the ``EngineReport/v2`` — hot blocks ranked by attributed
+    cycles, trace shape with why traces ended, the compile-vs-execute
+    time split, and block-cache lifecycle counters."""
     binary = _read_binary(args.binary)
     runtime = None
     if "rewrite" in binary.metadata:
@@ -1016,17 +1018,17 @@ def build_parser():
     p = sub.add_parser(
         "engine",
         help="engine observatory: run with JIT telemetry and print "
-             "the EngineReport (hot blocks, guard sites, time split)",
+             "the EngineReport (hot blocks, trace ends, time split)",
     )
     p.add_argument("action", choices=["report"])
     p.add_argument("binary")
     p.add_argument("--top", type=int, default=10, metavar="N",
-                   help="hot blocks / guard sites to rank (default 10)")
+                   help="hot blocks to rank (default 10)")
     p.add_argument("--engine", choices=["superblock", "step"],
                    default="superblock",
                    help="execution tier to observe (default superblock)")
     p.add_argument("--json", metavar="FILE",
-                   help="also write the EngineReport/v1 document to "
+                   help="also write the EngineReport/v2 document to "
                         "FILE")
     p.set_defaults(func=cmd_engine)
 

@@ -154,7 +154,7 @@ def evaluate_tool(tool, binary, oracle, base_cycles, benchmark="",
     emulated execution (block ring, trampoline hits, RA translations);
     it comes back on :attr:`ToolRun.flight`.  Pass an
     :class:`repro.obs.EngineTelemetry` as ``telemetry`` to observe the
-    superblock JIT (hot blocks, guard outcomes, compile time); it
+    superblock JIT (hot blocks, trace shape, compile time); it
     comes back on :attr:`ToolRun.telemetry`.
 
     ``cache`` (an :class:`repro.core.ArtifactCache`, typically shared

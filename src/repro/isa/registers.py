@@ -47,8 +47,3 @@ def reg_name(index):
 def reg_index(name):
     """Register index for a name such as ``"r3"`` or ``"sp"``."""
     return _BY_NAME[name]
-
-
-def is_valid_reg(index):
-    """Return True for indices that name an architectural register."""
-    return isinstance(index, int) and 0 <= index < NUM_REGS

@@ -17,12 +17,15 @@ Execution is tiered:
   block events demand per-step execution).
 * **superblock tier** — the default for :meth:`CPU.run`.  At first
   execution of an address, the run of instructions from that address up
-  to the next control transfer (or watch-region boundary, or
+  to the next indirect or kernel transfer (or watch-region boundary, or
   :data:`SUPERBLOCK_CAP`) is fused into one generated block function:
   straight-line register/memory operations are inlined as Python source
-  and everything else calls its per-step closure.  A block is dispatched
-  once per entry with pre-computed instruction/cycle deltas, so
-  straight-line runs skip per-step bookkeeping entirely.
+  and everything else calls its per-step closure.  Direct branches and
+  calls are followed; ``callr``/``jmpr``/``ret`` end the trace through
+  their per-step closures, so generated code never speculates on a
+  register-held target.  A block is dispatched once per entry with
+  pre-computed instruction/cycle deltas, so straight-line runs skip
+  per-step bookkeeping entirely.
 
 Demotions away from the fused tier are never silent: a manual
 :meth:`CPU.step` on a superblock CPU and a step-granularity recorder
@@ -32,12 +35,13 @@ machine's metrics as ``engine.demoted`` and traced as an
 :class:`~repro.obs.flight.FlightRecorder` *rides* the fused tier — one
 ring entry per block dispatch with exact trampoline-hit recovery — and
 an attached :class:`~repro.obs.engine.EngineTelemetry` observes
-fuse/compile/dispatch/guard activity without demoting.  Block-cache
-invalidations are likewise counted by cause in
+fuse/compile/dispatch activity without demoting.  Generated code does
+not depend on any observer, so attaching or detaching telemetry keeps
+the block cache.  Block-cache invalidations are counted by cause in
 :attr:`CPU.invalidations` (``invalidate_code``, ``watch-region``,
-``recorder-attach``, ``telemetry-attach``/``-detach``).  The ``is
-None`` discipline keeps the detached observer tax to one boolean test
-per block dispatch (budgeted under 2% by the throughput bench).
+``recorder-attach``).  The ``is None`` discipline keeps the detached
+observer tax to two boolean tests per block dispatch (budgeted under 2%
+by the throughput bench).
 
 Accounting stays *exact* across tiers (and with observers attached): cycle costs follow
 :class:`repro.machine.costs.CostModel` (including :attr:`CostModel.insn`
@@ -86,6 +90,9 @@ _TRANSFERS = frozenset({
     "jmp", "jmp.s", "beq", "bne", "blt", "bge", "bgt", "ble",
     "jmpr", "call", "callr", "ret", "trap", "syscall",
 })
+
+#: Indirect transfers: each ends its trace and returns to dispatch.
+_INDIRECT = frozenset({"jmpr", "callr", "ret"})
 
 _ARITH = {
     "add": lambda a, b: a + b,
@@ -289,7 +296,7 @@ class CPU:
         #: the hot loop at a single identity test per step.
         self.flight = None
         #: Optional :class:`repro.obs.engine.EngineTelemetry`; None
-        #: keeps the dispatch loop at one boolean test per block.
+        #: keeps the dispatch loop at two boolean tests per block.
         self.telemetry = None
         #: Demotions away from the fused tier, by cause (always
         #: counted, telemetry attached or not).
@@ -340,19 +347,12 @@ class CPU:
         """Wire an :class:`~repro.obs.engine.EngineTelemetry` in (or
         out, with ``None``).
 
-        Existing fused blocks were generated without (or with a
-        previous collector's) guard instrumentation, so the block cache
-        is dropped — counted as a ``telemetry-attach``/``-detach``
-        invalidation — and rebuilt lazily with the right counters baked
-        in.  Pre-attach demotion/invalidation tallies are folded into
-        the collector so nothing is lost.
+        Fused blocks do not depend on the observer, so the block cache
+        is kept.  Pre-attach demotion/invalidation tallies are folded
+        into the collector so nothing is lost.
         """
         if telemetry is self.telemetry:
             return
-        if self._blocks:
-            self._invalidate_cause(
-                "telemetry-attach" if telemetry is not None
-                else "telemetry-detach")
         self.telemetry = telemetry
         if telemetry is not None:
             telemetry.engine = self.engine
@@ -444,6 +444,7 @@ class CPU:
                 telem = self.telemetry
                 observe = telem is not None or flight is not None
                 tstats = telem.block_stats if telem is not None else None
+                decoded = self._insns
                 if icache_on:
                     # Segmented dispatch: one tag check per i-cache
                     # line actually crossed inside the block, charged
@@ -494,6 +495,9 @@ class CPU:
                                     st[0] += 1
                                     st[1] += done
                                     st[2] += self.cycles - c0
+                                if done == n and decoded[
+                                        b[4][-1]].mnemonic in _INDIRECT:
+                                    telem.indirect_exits += 1
                             if flight is not None:
                                 flight.record_superblock(
                                     b, self.pc, done, self.cycles)
@@ -538,6 +542,9 @@ class CPU:
                                     st[0] += 1
                                     st[1] += done
                                     st[2] += self.cycles - c0
+                                if done == n and decoded[
+                                        b[4][-1]].mnemonic in _INDIRECT:
+                                    telem.indirect_exits += 1
                             if flight is not None:
                                 flight.record_superblock(
                                     b, self.pc, done, self.cycles)
@@ -617,9 +624,11 @@ class CPU:
         inlined), so a whole loop — head test, body, backward latch —
         fuses into one block.  A branch or jmp targeting the trace's
         own start closes it into a *loop trace* that iterates inside
-        the generated function.  Traces end at indirect/kernel
-        transfers (``jmpr``/``call``/``callr``/``ret``/``trap``/
-        ``syscall``), at a jmp to an address already in the trace, at
+        the generated function.  Direct ``call``s are followed into
+        the callee (the return address is a compile-time constant).
+        Traces end at indirect and kernel transfers (``jmpr``/
+        ``callr``/``ret``/``trap``/``syscall``), which run their
+        per-step closures as the block's last instruction, at
         :data:`SUPERBLOCK_CAP`, at watch-region boundaries, and at
         unfetchable addresses.
 
@@ -659,20 +668,8 @@ class CPU:
             (a_lo, a_hi), (b_lo, b_hi) = watch
         trace = not self.costs.icache_enabled
         reason = None   # why the trace ended (telemetry trace shape)
-        data = self.memory.data
-        msize = self.memory.size
-        regs = self.regs
-        pushes = self.spec.call_pushes_return_address
-        items = []      # (kind, insn, extra)
+        items = []      # (kind, insn, closure)
         addrs = []
-        callstack = []  # return addresses of calls followed in-trace
-        # Static effects on the return-address machinery since trace
-        # start, used to predict where an unmatched ``ret`` lands:
-        # the net SP displacement (while statically known) and whether
-        # the link register has been overwritten.
-        sp_delta = 0
-        sp_known = True
-        lr_dirty = False
         region = None
         a = addr
         while True:
@@ -718,63 +715,12 @@ class CPU:
                 # constant, so the push/link inlines and the trace
                 # continues into the callee.
                 items.append(("call", insn, None))
-                callstack.append(a + insn.length)
-                if pushes:
-                    sp_delta -= 8
-                else:
-                    lr_dirty = True
                 a = a + insn.operands[0]
-            elif mn == "callr" and trace \
-                    and regs[insn.operands[0]] < msize:
-                # Indirect call: speculate on the target the register
-                # holds right now (block building happens mid-run, at
-                # first execution); the generated code re-reads the
-                # register and exits the trace if it disagrees.
-                observed = regs[insn.operands[0]]
-                items.append(("callr", insn, observed))
-                callstack.append(a + insn.length)
-                if pushes:
-                    sp_delta -= 8
-                else:
-                    lr_dirty = True
-                a = observed
-            elif mn == "jmpr" and trace \
-                    and regs[insn.operands[0]] < msize:
-                observed = regs[insn.operands[0]]
-                items.append(("jmpr", insn, observed))
-                a = observed
-            elif mn == "ret" and trace \
-                    and (expected := self._predict_return(
-                        callstack, sp_delta, sp_known,
-                        lr_dirty)) is not None:
-                # Speculate the return lands at the matching call's
-                # continuation (or, for a trace entered at a callee,
-                # at the return address the stack/link register holds
-                # now); the generated code pops the real return
-                # address and exits the trace if it disagrees.
-                items.append(("ret", insn, expected))
-                if pushes:
-                    sp_delta += 8
-                a = expected
             elif mn in _TRANSFERS:
                 items.append(("end", insn, fn))
                 reason = f"transfer:{mn}"
                 break
             else:
-                if mn == "push":
-                    sp_delta -= 8
-                elif mn == "pop":
-                    sp_delta += 8
-                if mn != "push" and insn.operands \
-                        and isinstance(insn.operands[0], int):
-                    # operands[0] is the destination for every
-                    # register-writing straight-line insn (for stores
-                    # it is a source — flagging those too merely costs
-                    # a speculation opportunity).
-                    if insn.operands[0] == SP:
-                        sp_known = False
-                    if insn.operands[0] == LR:
-                        lr_dirty = True
                 items.append(("s", insn, fn))
                 a += insn.length
             if len(items) >= SUPERBLOCK_CAP:
@@ -821,33 +767,6 @@ class CPU:
                 alloc_regs=len(alloc))
         return block
 
-    def _predict_return(self, callstack, sp_delta, sp_known, lr_dirty):
-        """Where the next ``ret`` most plausibly lands, or ``None``.
-
-        A call followed earlier in the trace pins the answer (and is
-        popped off ``callstack`` here).  Otherwise — a trace entered at
-        a callee — the prediction reads the return-address slot the
-        machine holds *right now*: the stack slot at the statically
-        tracked SP displacement, or the link register if untouched.
-        Mispredictions are harmless: the generated guard compares
-        against the real popped address and exits the trace with it.
-        """
-        if callstack:
-            return callstack.pop()
-        if self.spec.call_pushes_return_address:
-            if not sp_known:
-                return None
-            slot = (self.regs[SP] + sp_delta) & _MASK
-            if slot + 8 > self.memory.size:
-                return None
-            p = int.from_bytes(self.memory.data[slot:slot + 8],
-                               "little")
-        else:
-            if lr_dirty:
-                return None
-            p = self.regs[LR]
-        return p if p < self.memory.size else None
-
     def _fuse(self, items, addrs):
         """Generate the fused block function for a trace.
 
@@ -859,26 +778,19 @@ class CPU:
         * a *plain trace* runs each instruction at most once.
           Conditional branches become side exits (taken path sets the
           pc, accounts the branch, and returns its instruction count);
-          followed jmps inline their taken-branch accounting; the end
-          either calls a terminator closure or seals ``s.pc`` once.
+          followed jmps and calls inline their taken-branch
+          accounting; the end either calls a terminator closure or
+          seals ``s.pc`` once.
         * a *loop trace* — closed by a branch or ``jmp`` back to the
           trace's own start — wraps the same body in ``while True``,
           deferring taken-branch accounting to frame-local counters
           (``done`` instructions retired in finished passes, ``t``
-          taken branches), flushed at every exit.  Hot loops re-enter
-          the generated ``while`` without touching the dispatch loop
-          at all, which is where superblocks beat per-step execution
-          by a wide margin.  The closing branch stops iterating when
-          one more pass would reach the step budget.
-
-        When an :class:`~repro.obs.engine.EngineTelemetry` is attached,
-        every speculation guard (``callr``/``jmpr``/``ret``) also gets
-        a hit counter (one list-index increment on the fall-through
-        path, bound as ``gh{k}``) and a miss recorder (``gm{k}``, on
-        the trace-exiting path) baked into the generated source.  Both
-        are pure side effects on pre-bound objects: accounting, fault
-        recovery, and the register-allocation pass are untouched, so
-        instrumented blocks stay bit-identical in every observable.
+          taken branches, ``u`` followed calls), flushed at every
+          exit.  Hot loops re-enter the generated ``while`` without
+          touching the dispatch loop at all, which is where
+          superblocks beat per-step execution by a wide margin.  The
+          closing branch stops iterating when one more pass would
+          reach the step budget.
 
         Returns ``(function, linemap, filename, alloc, nowb,
         (closure_insns, source_lines))``.
@@ -897,34 +809,25 @@ class CPU:
         costs = self.costs
         tb_cost = costs.taken_branch
         call_cost = costs.call
-        ret_cost = costs.ret
         pushes = self.spec.call_pushes_return_address
         names = [("s", self), ("r", self.regs),
                  ("d", self.memory.data),
                  ("UF", UnmappedMemoryFault)]
         names.extend(_MEM_OPS.items())
-        telem = self.telemetry
-
-        def bind_guard(k, insn, kind, extra):
-            site = telem.guard_site(insn.addr, kind, extra)
-            names.append((f"gh{k}", site.counts))
-            names.append((f"gm{k}", site.record_miss))
         n = len(items)
         last_kind = items[-1][0]
         loop = last_kind in ("condclose", "jmpclose")
         start = addrs[0]
         kinds = {kind for kind, _, _ in items}
-        # Deferred cost counters for loop traces: taken branches (t),
-        # calls (u), returns (w); flushed at every exit and on fault.
+        # Deferred cost counters for loop traces: taken branches (t)
+        # and calls (u); flushed at every exit and on fault.  A loop
+        # trace always has its closing branch, so ``t`` is always
+        # present.
         counters = []
         if loop:
-            if kinds & {"cond", "jmp", "jmpr", "condclose",
-                        "jmpclose"}:
-                counters.append(("t", tb_cost))
-            if kinds & {"call", "callr"}:
+            counters.append(("t", tb_cost))
+            if "call" in kinds:
                 counters.append(("u", call_cost))
-            if "ret" in kinds:
-                counters.append(("w", ret_cost))
         flush_lines = []
         if counters:
             flush_lines.append(
@@ -958,11 +861,11 @@ class CPU:
             for c, _ in counters:
                 emit(1, f"{c} = 0")
             emit(1, "while True:")
-        for k, (kind, insn, extra) in enumerate(items):
+        for k, (kind, insn, closure) in enumerate(items):
             if kind == "s":
                 lines = _inline_src(insn, msize)
                 if lines is None:
-                    names.append((f"c{k}", extra))
+                    names.append((f"c{k}", closure))
                     emit(depth, f"c{k}()", (k, True))
                 else:
                     for line in lines:
@@ -989,14 +892,13 @@ class CPU:
                 else:
                     emit(depth, f"s.cycles += {tb_cost}", (k + 1, True))
                     emit(depth, "s.taken_branches += 1", (k + 1, True))
-            elif kind in ("call", "callr"):
+            elif kind == "call":
                 nxt = insn.addr + insn.length
-                mn = "call" if kind == "call" else "callr"
                 if pushes:
                     emit(depth, f"a = (r[{SP}] - 8) & {_MASK_SRC}",
                          (k, True))
                     emit(depth,
-                         f'if a + 8 > {msize}: raise UF(f"{mn} at '
+                         f'if a + 8 > {msize}: raise UF(f"call at '
                          f'{{a:#x}}", pc={insn.addr})', (k, True))
                     emit(depth, f"p8(d, a, {nxt})", (k, True))
                     emit(depth, f"r[{SP}] = a", (k, True))
@@ -1008,80 +910,8 @@ class CPU:
                     emit(depth, f"s.cycles += {call_cost}",
                          (k + 1, True))
                     emit(depth, "s.taken_branches += 1", (k + 1, True))
-                if kind == "callr":
-                    if telem is not None:
-                        bind_guard(k, insn, "callr", extra)
-                    emit(depth, f"p = r[{insn.operands[0]}]",
-                         (k + 1, False))
-                    emit(depth, f"if p != {extra}:", (k + 1, False))
-                    emit(depth + 1, "s.pc = p", (k + 1, False))
-                    if telem is not None:
-                        emit(depth + 1, f"gm{k}(p)", (k + 1, False))
-                    if loop:
-                        emit_flush(depth + 1, (k + 1, False))
-                        emit(depth + 1, f"return done + {k + 1}",
-                             (k + 1, False))
-                    else:
-                        emit(depth + 1, f"return {k + 1}")
-                    if telem is not None:
-                        emit(depth, f"gh{k}[0] += 1", (k + 1, True))
-            elif kind == "jmpr":
-                if telem is not None:
-                    bind_guard(k, insn, "jmpr", extra)
-                emit(depth, f"p = r[{insn.operands[0]}]", (k, True))
-                if loop:
-                    emit(depth, "t += 1", (k + 1, False))
-                else:
-                    emit(depth, f"s.cycles += {tb_cost}",
-                         (k + 1, False))
-                    emit(depth, "s.taken_branches += 1",
-                         (k + 1, False))
-                emit(depth, f"if p != {extra}:", (k + 1, False))
-                emit(depth + 1, "s.pc = p", (k + 1, False))
-                if telem is not None:
-                    emit(depth + 1, f"gm{k}(p)", (k + 1, False))
-                if loop:
-                    emit_flush(depth + 1, (k + 1, False))
-                    emit(depth + 1, f"return done + {k + 1}",
-                         (k + 1, False))
-                else:
-                    emit(depth + 1, f"return {k + 1}")
-                if telem is not None:
-                    emit(depth, f"gh{k}[0] += 1", (k + 1, True))
-            elif kind == "ret":
-                if pushes:
-                    emit(depth, f"a = r[{SP}]", (k, True))
-                    emit(depth,
-                         f'if a + 8 > {msize}: raise UF(f"ret at '
-                         f'{{a:#x}}", pc={insn.addr})', (k, True))
-                    emit(depth, "p = u8(d, a)[0]", (k, True))
-                    emit(depth, f"r[{SP}] = (a + 8) & {_MASK_SRC}",
-                         (k, True))
-                else:
-                    emit(depth, f"p = r[{LR}]", (k, True))
-                if telem is not None:
-                    bind_guard(k, insn, "ret", extra)
-                if loop:
-                    emit(depth, "w += 1", (k + 1, False))
-                else:
-                    emit(depth, f"s.cycles += {ret_cost}",
-                         (k + 1, False))
-                    emit(depth, "s.taken_branches += 1",
-                         (k + 1, False))
-                emit(depth, f"if p != {extra}:", (k + 1, False))
-                emit(depth + 1, "s.pc = p", (k + 1, False))
-                if telem is not None:
-                    emit(depth + 1, f"gm{k}(p)", (k + 1, False))
-                if loop:
-                    emit_flush(depth + 1, (k + 1, False))
-                    emit(depth + 1, f"return done + {k + 1}",
-                         (k + 1, False))
-                else:
-                    emit(depth + 1, f"return {k + 1}")
-                if telem is not None:
-                    emit(depth, f"gh{k}[0] += 1", (k + 1, True))
             elif kind == "end":
-                names.append((f"c{k}", extra))
+                names.append((f"c{k}", closure))
                 emit(1, f"c{k}()",
                      (k, insn.mnemonic not in ("trap", "syscall")))
                 emit(1, f"return {n}")
@@ -1110,13 +940,11 @@ class CPU:
             # Trace cut mid-stream (cap, watch boundary, unfetchable
             # next address): seal the pc of the not-taken continuation
             # once for the whole pass.
-            kind, last_insn, extra = items[-1]
+            kind, last_insn, _ = items[-1]
             if kind in ("s", "cond"):
                 seal = last_insn.addr + last_insn.length
-            elif kind in ("jmp", "call"):
+            else:   # a followed jmp/call
                 seal = last_insn.addr + last_insn.operands[0]
-            else:   # ret/callr/jmpr: the guard confirmed this target
-                seal = extra
             emit(1, f"s.pc = {seal}", (n, False))
             emit(1, f"return {n}")
         # Register allocation: every guest register the generated code
@@ -1194,12 +1022,10 @@ class CPU:
                 locs = frame.f_locals
                 t = locs.get("t", 0)
                 u = locs.get("u", 0)
-                w = locs.get("w", 0)
-                if t or u or w:
+                if t or u:
                     self.cycles += (t * self.costs.taken_branch
-                                    + u * self.costs.call
-                                    + w * self.costs.ret)
-                    self.taken_branches += t + u + w
+                                    + u * self.costs.call)
+                    self.taken_branches += t + u
                 if block[7] and tb.tb_lineno not in block[8]:
                     # The frame locals are the architectural register
                     # state at the fault point (closure-call lines

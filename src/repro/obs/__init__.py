@@ -21,8 +21,8 @@ discipline of :mod:`repro.obs.store`.
 
 :mod:`repro.obs.engine` is the engine observatory: the
 :class:`EngineTelemetry` collector the superblock JIT feeds at
-fuse/compile/dispatch/guard time, read out as a schema-versioned
-``EngineReport/v1`` via :func:`render_engine_report`.
+fuse/compile/dispatch time, read out as a schema-versioned
+``EngineReport/v2`` via :func:`render_engine_report`.
 """
 
 from repro.obs.atlas import (
@@ -39,7 +39,6 @@ from repro.obs.degrade import render_degradation
 from repro.obs.engine import (
     ENGINE_REPORT_SCHEMA,
     EngineTelemetry,
-    GuardSite,
     render_engine_report,
 )
 from repro.obs.flight import FlightRecorder, render_flight_report
@@ -100,7 +99,6 @@ __all__ = [
     "FlightRecorder",
     "render_flight_report",
     "EngineTelemetry",
-    "GuardSite",
     "ENGINE_REPORT_SCHEMA",
     "render_engine_report",
     "render_degradation",

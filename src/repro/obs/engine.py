@@ -1,9 +1,9 @@
 """The engine observatory: superblock JIT telemetry.
 
-PR 8's superblock tier made the emulator fast; this module makes it
+The superblock tier makes the emulator fast; this module makes it
 *legible*.  An :class:`EngineTelemetry` attached to a
-:class:`repro.machine.Machine` is fed by the superblock tier at its
-three interesting moments:
+:class:`repro.machine.Machine` is fed by the superblock tier at two
+moments:
 
 * **fuse/compile time** — per-block compile wall seconds, trace shape
   (length, loop closure, why the trace ended), and codegen-pass
@@ -12,17 +12,12 @@ three interesting moments:
   lines);
 * **dispatch time** — per-block execution counts with exact
   instruction and cycle attribution (one entry/instructions/cycles
-  triple per block start address), plus block-cache hit accounting;
-* **guard time** — per speculation site (``callr``/``jmpr``/``ret``
-  guards baked into generated blocks): hit/miss counts, the churn of
-  observed targets, and a bounded deopt-event log with the site pc and
-  reason.
+  triple per block start address), block-cache hit accounting, and a
+  count of the indirect transfers that ended a dispatched trace.
 
-Attaching rebuilds the block cache with guard instrumentation baked
-into the generated source (pure side effects on pre-bound counter
-lists — accounting and fault recovery stay bit-identical to the
-un-instrumented tier).  Detached CPUs pay only the established ``is
-None`` discipline: one boolean test per *block dispatch* (not per
+Generated blocks do not depend on the collector, so attaching keeps
+the block cache.  Detached CPUs pay only the established ``is None``
+discipline: two boolean tests per *block dispatch* (not per
 instruction), held under the 2% budget by
 ``benchmarks/bench_emulator_throughput.py``.
 
@@ -33,9 +28,9 @@ Demotions away from the fused tier (a step-granularity
 counted by cause on the CPU whether or not telemetry is attached, and
 mirrored here when it is.
 
-Everything reads out as a schema-versioned :data:`EngineReport/v1
-<ENGINE_REPORT_SCHEMA>` document — hot-block top-N, guard-failure
-ranking, compile-vs-execute time split — rendered by
+Everything reads out as a schema-versioned :data:`EngineReport/v2
+<ENGINE_REPORT_SCHEMA>` document — hot-block top-N, trace shape,
+compile-vs-execute time split — rendered by
 :func:`render_engine_report` and surfaced as ``repro engine report``.
 """
 
@@ -44,98 +39,31 @@ import json
 from repro.obs.metrics import Histogram
 
 #: Schema tag; bump when a field changes meaning.
-ENGINE_REPORT_SCHEMA = "EngineReport/v1"
+ENGINE_REPORT_SCHEMA = "EngineReport/v2"
 
-#: Default cap on recorded deopt (guard-miss) events.
-DEFAULT_DEOPT_EVENTS = 64
-
-#: Default number of hot blocks / guard sites a report ranks.
+#: Default number of hot blocks a report ranks.
 DEFAULT_TOP = 10
-
-
-class GuardSite:
-    """One speculation site inside generated superblocks.
-
-    The ``counts`` list (``[hits, misses]``) is bound directly into the
-    generated block source, so the hot hit path is a single list-index
-    increment; :meth:`record_miss` is bound for the (trace-exiting)
-    miss path and additionally tracks observed-target churn and feeds
-    the telemetry's bounded deopt-event log.
-    """
-
-    __slots__ = ("pc", "kind", "counts", "targets", "speculated",
-                 "_telemetry")
-
-    def __init__(self, pc, kind, telemetry):
-        self.pc = pc
-        self.kind = kind
-        #: [hits, misses] — bound into generated code as ``gh{k}``
-        self.counts = [0, 0]
-        #: runtime miss target -> count
-        self.targets = {}
-        #: distinct targets speculated at compile time
-        self.speculated = set()
-        self._telemetry = telemetry
-
-    @property
-    def hits(self):
-        return self.counts[0]
-
-    @property
-    def misses(self):
-        return self.counts[1]
-
-    @property
-    def churn(self):
-        """Distinct targets this site was observed to reach (compile-
-        time speculations plus runtime miss targets)."""
-        return len(self.speculated | set(self.targets))
-
-    def record_miss(self, target):
-        """Bound into generated code as ``gm{k}``; the guard compared
-        against the speculated target and disagreed."""
-        self.counts[1] += 1
-        self.targets[target] = self.targets.get(target, 0) + 1
-        t = self._telemetry
-        if len(t.deopt_events) < t.max_deopt_events:
-            t.deopt_events.append({
-                "pc": self.pc,
-                "reason": f"guard-miss:{self.kind}",
-                "target": target,
-            })
-
-    def to_dict(self):
-        return {
-            "pc": self.pc,
-            "kind": self.kind,
-            "hits": self.hits,
-            "misses": self.misses,
-            "churn": self.churn,
-            "targets": dict(sorted(self.targets.items(),
-                                   key=lambda kv: (-kv[1], kv[0]))),
-        }
-
-    def __repr__(self):
-        return (f"<GuardSite {self.pc:#x} {self.kind} "
-                f"hits={self.hits} misses={self.misses}>")
 
 
 class EngineTelemetry:
     """JIT telemetry collector for one machine's superblock tier
     (or several runs on one machine — counters accumulate).
 
-    The CPU feeds it at compile/dispatch/guard time; it never feeds
+    The CPU feeds it at compile and dispatch time; it never feeds
     the CPU.  All recording is pure observation: results, fault-time
     state, and every ``RunResult`` counter stay bit-identical to an
-    un-instrumented run.
+    unobserved run.
     """
 
     enabled = True
 
-    def __init__(self, max_deopt_events=DEFAULT_DEOPT_EVENTS,
-                 top_blocks=DEFAULT_TOP):
+    def __init__(self, top_blocks=DEFAULT_TOP):
         #: block start pc -> [entries, instructions, cycles]
         self.block_stats = {}
+        #: executed ``callr``/``jmpr``/``ret`` that ended a dispatched
+        #: trace (indirect targets are resolved by dispatch, never
+        #: speculated inside a trace)
+        self.indirect_exits = 0
         self.top_blocks = top_blocks
 
         # -- compile-time accounting
@@ -150,12 +78,6 @@ class EngineTelemetry:
         self.trace_lengths = Histogram("engine.trace_length")
         #: why traces ended: reason -> count
         self.ends_by_reason = {}
-
-        # -- speculation accounting
-        #: site pc -> :class:`GuardSite`
-        self.guards = {}
-        self.deopt_events = []
-        self.max_deopt_events = max_deopt_events
 
         # -- lifecycle accounting (mirrors of the CPU's own dicts)
         self.demotions = {}
@@ -173,10 +95,10 @@ class EngineTelemetry:
     def attach(self, machine):
         """Wire this collector into a machine's CPU.
 
-        Attaching drops the block cache (counted as a
-        ``telemetry-attach`` invalidation when blocks existed) so every
-        block is rebuilt with guard instrumentation baked in; the fused
-        tier keeps running — telemetry never demotes.
+        Attaching keeps the block cache (blocks built before the
+        attach are dispatched and attributed, but their compiles were
+        not observed) and the fused tier keeps running — telemetry
+        never demotes.
         """
         machine.telemetry = self
         machine.cpu.attach_telemetry(self)
@@ -209,15 +131,6 @@ class EngineTelemetry:
         self.ends_by_reason[reason] = \
             self.ends_by_reason.get(reason, 0) + 1
 
-    def guard_site(self, pc, kind, expected):
-        """The (shared, cross-block) guard site for one speculated
-        instruction; called at fuse time."""
-        site = self.guards.get(pc)
-        if site is None:
-            site = self.guards[pc] = GuardSite(pc, kind, self)
-        site.speculated.add(expected)
-        return site
-
     def record_demotion(self, cause):
         self.demotions[cause] = self.demotions.get(cause, 0) + 1
 
@@ -231,6 +144,13 @@ class EngineTelemetry:
 
     # -- reading ------------------------------------------------------------
 
+    # The names ``perfbench`` reads for its ``machine.jit.guard_checks``
+    # and ``guard_miss_frac`` metrics: every indirect target is checked
+    # by dispatch, and every such check leaves its trace, the outcome a
+    # guard miss once had.
+    guard_checks = guard_misses = property(
+        lambda self: self.indirect_exits)
+
     @property
     def dispatches(self):
         return sum(s[0] for s in self.block_stats.values())
@@ -238,21 +158,6 @@ class EngineTelemetry:
     @property
     def block_instructions(self):
         return sum(s[1] for s in self.block_stats.values())
-
-    @property
-    def guard_checks(self):
-        return sum(s.hits + s.misses for s in self.guards.values())
-
-    @property
-    def guard_misses(self):
-        return sum(s.misses for s in self.guards.values())
-
-    @property
-    def guard_failure_rate(self):
-        """misses / checks, or None before any guard executed — the
-        metric the :class:`~repro.obs.RegressionSentinel` gates."""
-        checks = self.guard_checks
-        return (self.guard_misses / checks) if checks else None
 
     def hot_blocks(self, top=None):
         """Top-N blocks by attributed cycles:
@@ -268,19 +173,9 @@ class EngineTelemetry:
             for pc, st in ranked[:top]
         ]
 
-    def guard_ranking(self, top=None):
-        """Guard sites ranked by misses (then checks), worst first."""
-        top = self.top_blocks if top is None else top
-        ranked = sorted(self.guards.values(),
-                        key=lambda s: (-s.misses,
-                                       -(s.hits + s.misses), s.pc))
-        return [s.to_dict() for s in ranked[:top]]
-
     def report(self, top=None):
-        """The schema-versioned ``EngineReport/v1`` document."""
+        """The schema-versioned ``EngineReport/v2`` document."""
         top = self.top_blocks if top is None else top
-        checks = self.guard_checks
-        misses = self.guard_misses
         execute = max(0.0, self.run_seconds - self.compile_seconds)
         return {
             "schema": ENGINE_REPORT_SCHEMA,
@@ -290,6 +185,7 @@ class EngineTelemetry:
                 "dispatches": self.dispatches,
                 "instructions": self.block_instructions,
                 "cycles": sum(s[2] for s in self.block_stats.values()),
+                "indirect_exits": self.indirect_exits,
             },
             "hot_blocks": self.hot_blocks(top),
             "trace_shape": {
@@ -298,15 +194,6 @@ class EngineTelemetry:
                 "ends_by_reason": dict(sorted(
                     self.ends_by_reason.items())),
             },
-            "guards": {
-                "sites": len(self.guards),
-                "checks": checks,
-                "hits": checks - misses,
-                "misses": misses,
-                "failure_rate": self.guard_failure_rate,
-                "ranking": self.guard_ranking(top),
-            },
-            "deopt_events": list(self.deopt_events),
             "compile": {
                 "blocks": self.compiles,
                 "seconds": self.compile_seconds,
@@ -343,8 +230,7 @@ class EngineTelemetry:
 
     def __repr__(self):
         return (f"<EngineTelemetry blocks={self.compiles} "
-                f"dispatches={self.dispatches} "
-                f"guards={len(self.guards)}>")
+                f"dispatches={self.dispatches}>")
 
 
 def render_engine_report(source, top=None):
@@ -352,7 +238,7 @@ def render_engine_report(source, top=None):
     :func:`repro.obs.flight.render_flight_report`).
 
     ``source`` is an :class:`EngineTelemetry` or an already-built
-    ``EngineReport/v1`` dict.
+    ``EngineReport/v2`` dict.
     """
     r = source.report(top) if hasattr(source, "report") else source
     lines = [f"engine report ({r['engine'] or '?'})", "-" * 64]
@@ -361,7 +247,8 @@ def render_engine_report(source, top=None):
     lines.append(
         f"blocks            : {b['compiled']} compiled, "
         f"{b['dispatches']} dispatches, "
-        f"{b['instructions']:,} instructions, {b['cycles']:,} cycles"
+        f"{b['instructions']:,} instructions, {b['cycles']:,} cycles, "
+        f"{b['indirect_exits']} indirect exits"
     )
 
     shape = r["trace_shape"]
@@ -413,25 +300,4 @@ def render_engine_report(source, top=None):
             f"{row['cycles']:>10,} cyc  ({row['cycle_share']:.1%})"
         )
 
-    g = r["guards"]
-    rate = (f"{g['failure_rate']:.2%}"
-            if g["failure_rate"] is not None else "n/a")
-    lines.append(
-        f"guards            : {g['sites']} site(s), {g['checks']} "
-        f"checks, {g['misses']} misses (failure rate {rate})"
-    )
-    for row in g["ranking"]:
-        targets = ", ".join(f"{t:#x}x{n}" for t, n in
-                            list(row["targets"].items())[:3])
-        lines.append(
-            f"  guard site      : {row['pc']:#10x}  {row['kind']:<5} "
-            f"hits={row['hits']:<8} miss={row['misses']:<6} "
-            f"churn={row['churn']}"
-            + (f"  [{targets}]" if targets else "")
-        )
-    for ev in r["deopt_events"][:5]:
-        lines.append(
-            f"  deopt           : pc={ev['pc']:#x} {ev['reason']} "
-            f"-> {ev['target']:#x}"
-        )
     return "\n".join(lines)

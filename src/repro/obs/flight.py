@@ -50,8 +50,6 @@ from repro.obs.metrics import Histogram
 DEFAULT_RING = 256
 #: Default cap on recorded RA-translation miss events.
 DEFAULT_MISS_EVENTS = 64
-#: Default number of recent trampoline hits kept for chain forensics.
-DEFAULT_TRAMP_RING = 32
 
 
 class Ring:
@@ -91,7 +89,7 @@ class FlightRecorder:
 
     def __init__(self, ring_size=DEFAULT_RING,
                  max_miss_events=DEFAULT_MISS_EVENTS,
-                 tramp_ring=DEFAULT_TRAMP_RING, granularity="block"):
+                 granularity="block"):
         if granularity not in ("block", "step"):
             raise ValueError(
                 f"unknown flight granularity {granularity!r}; "
@@ -113,7 +111,6 @@ class FlightRecorder:
         #: loaded trampoline-site address -> (kind, function)
         self.tramp_sites = {}
         self.tramp_hits = {}
-        self.recent_tramps = Ring(tramp_ring)
 
         #: per-path {"hits": n, "misses": n} for RA translation
         self.ra_stats = {}
@@ -191,13 +188,11 @@ class FlightRecorder:
     def tramp_hit(self, site):
         """The instruction at a known trampoline site executed."""
         self.tramp_hits[site] = self.tramp_hits.get(site, 0) + 1
-        self.recent_tramps.push(site)
 
     def tramp_hit_n(self, site, n):
         """``n`` executions of a trampoline site observed at once (one
-        fused-block dispatch); the chain ring gets a single entry."""
+        fused-block dispatch)."""
         self.tramp_hits[site] = self.tramp_hits.get(site, 0) + n
-        self.recent_tramps.push(site)
 
     def record_superblock(self, block, next_pc, done, cycles):
         """One fused-block dispatch (block granularity): ring the next
@@ -260,12 +255,6 @@ class FlightRecorder:
         """The most recent block entries, oldest first:
         ``[(pc, cycles), ...]``."""
         return self.ring.items(last=n)
-
-    def trampoline_chain(self, n=None):
-        """Recent trampoline hits, oldest first:
-        ``[(site, kind, function), ...]``."""
-        return [(site,) + self.tramp_sites.get(site, ("?", "?"))
-                for site in self.recent_tramps.items(last=n)]
 
     def hits_by_kind(self):
         out = {}

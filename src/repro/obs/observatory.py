@@ -142,15 +142,15 @@ class PerfSample:
     __slots__ = ("workload", "arch", "mode", "total_seconds",
                  "stage_seconds", "stage_mem_peak", "mem_peak",
                  "cache_hits", "cache_misses", "trampolines", "traps",
-                 "instructions", "cycles", "guard_failure_rate",
-                 "engine_compile_seconds", "fingerprint", "unix_time")
+                 "instructions", "cycles", "engine_compile_seconds",
+                 "fingerprint", "unix_time")
 
     def __init__(self, workload, arch, mode, total_seconds,
                  stage_seconds=None, stage_mem_peak=None, mem_peak=None,
                  cache_hits=0, cache_misses=0, trampolines=None,
                  traps=0, instructions=None, cycles=None,
-                 guard_failure_rate=None, engine_compile_seconds=None,
-                 fingerprint=None, unix_time=None):
+                 engine_compile_seconds=None, fingerprint=None,
+                 unix_time=None):
         self.workload = workload
         self.arch = arch
         self.mode = mode
@@ -166,9 +166,8 @@ class PerfSample:
         self.traps = traps
         self.instructions = instructions
         self.cycles = cycles
-        #: engine-observatory fields (optional, stay within /v1: old
-        #: readers tolerate their absence, new readers their presence)
-        self.guard_failure_rate = guard_failure_rate
+        #: engine-observatory field (optional, stays within /v1: old
+        #: readers tolerate its absence, new readers its presence)
         self.engine_compile_seconds = engine_compile_seconds
         self.fingerprint = fingerprint or EnvFingerprint.collect()
         self.unix_time = time.time() if unix_time is None else unix_time
@@ -181,7 +180,6 @@ class PerfSample:
     @classmethod
     def from_rewrite(cls, trace, metrics, report, workload, arch, mode,
                      total_seconds, instructions=None, cycles=None,
-                     guard_failure_rate=None,
                      engine_compile_seconds=None, fingerprint=None):
         """Build a sample off one observed rewrite: the tracer's
         ``rewrite`` span supplies per-stage times and memory peaks, the
@@ -214,7 +212,6 @@ class PerfSample:
             traps=getattr(report, "traps", 0),
             instructions=instructions,
             cycles=cycles,
-            guard_failure_rate=guard_failure_rate,
             engine_compile_seconds=engine_compile_seconds,
             fingerprint=fingerprint,
         )
@@ -242,8 +239,6 @@ class PerfSample:
             out["instructions"] = self.instructions
         if self.cycles is not None:
             out["cycles"] = self.cycles
-        if self.guard_failure_rate is not None:
-            out["guard_failure_rate"] = self.guard_failure_rate
         if self.engine_compile_seconds is not None:
             out["engine_compile_seconds"] = self.engine_compile_seconds
         return out
@@ -251,7 +246,9 @@ class PerfSample:
     @classmethod
     def from_dict(cls, data):
         """Parse one history entry; raises ValueError on corrupt or
-        foreign input (wrong shape, missing schema, alien schema)."""
+        foreign input (wrong shape, missing schema, alien schema).
+        Keys this reader does not know — such as the retired engine
+        guard rate older histories carry — are ignored."""
         if not isinstance(data, dict):
             raise ValueError(f"not a sample object: {type(data).__name__}")
         schema = data.get("schema", "")
@@ -273,7 +270,6 @@ class PerfSample:
                 traps=data.get("traps", 0),
                 instructions=data.get("instructions"),
                 cycles=data.get("cycles"),
-                guard_failure_rate=data.get("guard_failure_rate"),
                 engine_compile_seconds=data.get(
                     "engine_compile_seconds"),
                 fingerprint=EnvFingerprint.from_dict(
@@ -347,14 +343,11 @@ class BenchHistory:
 #: (warn, fail) relative-increase thresholds per metric kind.  Wall
 #: times and memory are noisy (GC, allocator, machine load) so their
 #: gates are loose; emulated instruction/cycle/trampoline counts are
-#: deterministic so theirs are tight.  ``rate`` covers ratio-valued
-#: engine metrics (guard failure rate): deterministic for a fixed
-#: binary, but small denominators wiggle, so it sits between the two.
+#: deterministic so theirs are tight.
 THRESHOLDS = {
     "time": (0.30, 0.75),
     "mem": (0.25, 0.60),
     "count": (0.02, 0.10),
-    "rate": (0.10, 0.25),
 }
 
 #: Noise floors: a baseline below the floor is graded against the floor
@@ -363,7 +356,6 @@ FLOORS = {
     "time": 0.002,       # 2 ms
     "mem": 256 * 1024,   # 256 KiB
     "count": 64,
-    "rate": 0.01,        # 1 percentage point
 }
 
 
@@ -400,9 +392,6 @@ def sample_metrics(sample):
         out["trampolines.total"] = \
             ("count", sum(sample.trampolines.values()))
     out["traps"] = ("count", sample.traps)
-    if sample.guard_failure_rate is not None:
-        out["engine.guard_failure_rate"] = \
-            ("rate", sample.guard_failure_rate)
     if sample.engine_compile_seconds is not None:
         out["engine.compile_seconds"] = \
             ("time", sample.engine_compile_seconds)
@@ -545,8 +534,6 @@ def _fmt_metric(metric, value):
         return "-"
     if metric.endswith("seconds"):
         return f"{value * 1e3:.2f}ms"
-    if metric.endswith("rate"):
-        return f"{value:.2%}"
     if "mem" in metric:
         return format_bytes(value)
     return f"{value:,.0f}" if value == int(value) else f"{value:,.2f}"

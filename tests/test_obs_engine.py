@@ -1,5 +1,5 @@
 """The engine observatory: superblock JIT telemetry, demotion and
-invalidation accounting, the ``EngineReport/v1`` surface, and the
+invalidation accounting, the ``EngineReport/v2`` surface, and the
 ``repro engine report`` CLI.
 
 Everything here holds the tentpole invariant from the superblock tier:
@@ -15,10 +15,11 @@ from repro.cli import main
 from repro.core import IncrementalRewriter, RewriteMode
 from repro.isa import Instruction as I
 from repro.isa.registers import R0
-from repro.machine import machine_for, run_binary
+from repro.machine import CostModel, machine_for, run_binary
 from repro.machine.cpu import ENGINES
 from repro.obs import (
     ENGINE_REPORT_SCHEMA,
+    BenchHistory,
     EngineTelemetry,
     EnvFingerprint,
     FlightRecorder,
@@ -42,8 +43,8 @@ PARITY_FIELDS = ("checksum", "cycles", "icount", "icache_misses",
 
 @pytest.fixture(scope="module")
 def lbm():
-    """A call/indirect-heavy workload: guarantees ret/callr guard
-    sites in the fused blocks."""
+    """A call/indirect-heavy workload: guarantees traces that end at
+    ``ret`` and ``callr``."""
     return workload("619.lbm_s", "x86")[1]
 
 
@@ -82,24 +83,43 @@ class TestTelemetryAccounting:
         assert sum(s[2] for s in t.block_stats.values()) \
             == result.cycles
 
-    def test_guard_sites_attribute_every_check(self, lbm):
-        _, _, t = _observed_run(lbm)
-        assert t.guards   # lbm's helper calls speculate ret/callr
-        kinds = {site.kind for site in t.guards.values()}
-        assert kinds <= {"callr", "jmpr", "ret"}
-        assert t.guard_checks == sum(
-            s.hits + s.misses for s in t.guards.values())
-        assert t.guard_misses <= t.guard_checks
-        assert 0.0 <= t.guard_failure_rate <= 1.0
-        # Every deopt event names a known speculation site.
-        assert t.deopt_events
-        for ev in t.deopt_events:
-            assert ev["pc"] in t.guards
-            assert ev["reason"].startswith("guard-miss:")
-        assert len(t.deopt_events) <= t.max_deopt_events
-        # Miss targets are per-site attributable.
-        for site in t.guards.values():
-            assert sum(site.targets.values()) == site.misses
+    def test_indirect_transfers_end_traces(self, lbm):
+        result, _, t = _observed_run(lbm)
+        # Indirect transfers are never speculated: each one ends its
+        # trace through its per-step closure, and the trace shape
+        # names why.
+        assert t.ends_by_reason.get("transfer:ret", 0) > 0
+        assert t.ends_by_reason.get("transfer:callr", 0) > 0
+        assert t.block_instructions == result.icount
+
+    @pytest.mark.parametrize("icache", [False, True])
+    def test_indirect_exits_count_executed_transfers(self, lbm, icache):
+        costs = CostModel.with_icache() if icache else None
+        # Oracle: the per-step tier, with every callr/jmpr/ret closure
+        # wrapped in a counter.
+        machine = machine_for(lbm, engine="step", costs=costs)
+        machine.load(lbm)
+        cpu = machine.cpu
+        compile_one = cpu._compile
+        executed = [0]
+
+        def counting(addr):
+            fn = compile_one(addr)
+            if cpu._insns[addr].mnemonic not in ("callr", "jmpr", "ret"):
+                return fn
+
+            def counted():
+                executed[0] += 1
+                fn()
+            return counted
+
+        cpu._compile = counting
+        machine.run()
+        _, _, t = _observed_run(lbm, costs=costs)
+        assert executed[0] > 0
+        assert t.indirect_exits == executed[0]
+        assert t.guard_checks == t.guard_misses == t.indirect_exits
+        assert t.report()["blocks"]["indirect_exits"] == executed[0]
 
     def test_telemetry_is_a_pure_observer(self, lbm):
         plain = run_binary(lbm)
@@ -202,17 +222,33 @@ class TestInvalidationAccounting:
         machine.cpu.invalidate_code()
         assert machine.cpu.invalidations == {}
 
-    def test_telemetry_attach_detach_invalidate(self, lbm):
+    def test_telemetry_attach_detach_keeps_cache(self, lbm):
+        """Generated blocks do not depend on the observer: attaching
+        or detaching telemetry on a warm machine keeps the block
+        cache, counts no invalidation, and later runs stay
+        bit-identical to the per-step tier."""
+        # Kernel output accumulates per machine, so the reference
+        # repeats the same three runs on one per-step machine.
+        step = machine_for(lbm, engine="step")
+        step.load(lbm)
+        expected = [step.run() for _ in range(3)]
         machine = machine_for(lbm)
         machine.load(lbm)
-        machine.run()
-        assert machine.cpu._blocks
-        EngineTelemetry().attach(machine)
-        assert machine.cpu.invalidations == {"telemetry-attach": 1}
-        machine.run()
+        results = [machine.run()]
+        blocks = dict(machine.cpu._blocks)
+        assert blocks
+        telemetry = EngineTelemetry().attach(machine)
+        assert machine.cpu._blocks == blocks
+        results.append(machine.run())
+        assert telemetry.dispatches > 0
         machine.cpu.attach_telemetry(None)
-        assert machine.cpu.invalidations \
-            == {"telemetry-attach": 1, "telemetry-detach": 1}
+        assert machine.cpu._blocks.items() >= blocks.items()
+        results.append(machine.run())
+        assert machine.cpu.invalidations == {}
+        assert telemetry.invalidations == {}
+        for sb, ref in zip(results, expected):
+            for field in PARITY_FIELDS:
+                assert getattr(sb, field) == getattr(ref, field), field
 
 
 class TestEngineValidation:
@@ -245,17 +281,15 @@ class TestEngineReport:
         assert doc["schema"] == ENGINE_REPORT_SCHEMA
         assert doc == json.loads(json.dumps(t.report()))
         assert doc["blocks"]["dispatches"] == t.dispatches
-        assert doc["guards"]["checks"] \
-            == doc["guards"]["hits"] + doc["guards"]["misses"]
         assert doc["time_split"]["compile_seconds"] \
             == pytest.approx(t.compile_seconds)
 
-    def test_render_names_hot_blocks_and_guard_sites(self, lbm):
+    def test_render_names_hot_blocks_and_trace_ends(self, lbm):
         _, _, t = _observed_run(lbm)
         text = render_engine_report(t)
         assert "engine report" in text
         assert "hot block" in text
-        assert "guard site" in text
+        assert "ends by reason" in text
         assert "block cache" in text
         # A dict renders identically to the live collector.
         assert render_engine_report(t.report()) == text
@@ -264,7 +298,6 @@ class TestEngineReport:
         _, _, t = _observed_run(lbm)
         report = t.report(top=2)
         assert len(report["hot_blocks"]) <= 2
-        assert len(report["guards"]["ranking"]) <= 2
 
 
 class TestFlightGranularity:
@@ -293,16 +326,15 @@ class TestFlightGranularity:
 
 
 class TestObservatoryIntegration:
-    def _sample(self, rate=0.01, compile_s=0.010, **kwargs):
+    def _sample(self, compile_s=0.010, **kwargs):
         return PerfSample(
             "w", "x86", "jt", 0.1, cycles=10_000,
-            guard_failure_rate=rate, engine_compile_seconds=compile_s,
+            engine_compile_seconds=compile_s,
             fingerprint=FP, unix_time=1.0, **kwargs)
 
     def test_engine_fields_round_trip(self):
         s = self._sample()
         rebuilt = PerfSample.from_dict(s.to_dict())
-        assert rebuilt.guard_failure_rate == s.guard_failure_rate
         assert rebuilt.engine_compile_seconds \
             == s.engine_compile_seconds
         assert rebuilt.to_dict() == s.to_dict()
@@ -310,24 +342,40 @@ class TestObservatoryIntegration:
     def test_engine_fields_stay_optional(self):
         s = PerfSample("w", "x86", "jt", 0.1, fingerprint=FP)
         data = s.to_dict()
-        assert "guard_failure_rate" not in data
         assert "engine_compile_seconds" not in data
         rebuilt = PerfSample.from_dict(data)
-        assert rebuilt.guard_failure_rate is None
         assert rebuilt.engine_compile_seconds is None
 
     def test_sample_metrics_kinds(self):
         metrics = sample_metrics(self._sample())
-        assert metrics["engine.guard_failure_rate"] == ("rate", 0.01)
         assert metrics["engine.compile_seconds"][0] == "time"
+        assert {kind for kind, _ in metrics.values()} \
+            <= {"time", "mem", "count"}
 
-    def test_sentinel_gates_guard_failure_regression(self):
-        samples = [self._sample() for _ in range(3)]
-        samples.append(self._sample(rate=0.5))   # speculation broke
+    def test_v1_entry_with_guard_rate_still_loads(self, tmp_path):
+        """Histories written while the engine still speculated carry a
+        guard failure rate per sample: they must keep loading, and be
+        graded on compile time but never on the retired rate."""
+        entries = []
+        for rate, compile_s in ((0.01, 0.010),) * 3 + ((0.5, 0.100),):
+            entry = self._sample(compile_s=compile_s).to_dict()
+            entry["guard_failure_rate"] = rate
+            entries.append(entry)
+        path = tmp_path / "BENCH_history.json"
+        path.write_text(json.dumps(
+            {"schema": "BENCH_history/v1", "samples": entries}))
+        history = BenchHistory(str(path))
+        samples = history.load()
+        assert len(samples) == 4 and history.skipped == 0
+        assert all(s.to_dict()["schema"] == "PerfSample/v1"
+                   for s in samples)
+        assert not any("guard" in metric
+                       for metric in sample_metrics(samples[-1]))
         report = RegressionSentinel().check(samples)
         assert report.failed
-        assert any(f.metric == "engine.guard_failure_rate"
+        assert any(f.metric == "engine.compile_seconds"
                    and f.severity == "fail" for f in report.findings)
+        assert not any("guard" in f.metric for f in report.findings)
 
     def test_sentinel_gates_compile_time_regression(self):
         samples = [self._sample() for _ in range(3)]
@@ -336,17 +384,6 @@ class TestObservatoryIntegration:
         assert report.failed
         assert any(f.metric == "engine.compile_seconds"
                    and f.severity == "fail" for f in report.findings)
-
-    def test_tiny_rates_under_noise_floor_pass(self):
-        # A 0.02% rate tripling stays under every threshold because
-        # the increase is taken against the 1-point floor, not the
-        # 0.02% baseline.
-        samples = [self._sample(rate=0.0002) for _ in range(3)]
-        samples.append(self._sample(rate=0.0006))
-        report = RegressionSentinel().check(samples)
-        assert not any(f.metric == "engine.guard_failure_rate"
-                       and f.severity in ("warn", "fail")
-                       for f in report.findings)
 
 
 class TestHarnessHook:
@@ -373,11 +410,10 @@ class TestEngineCli:
         captured = capsys.readouterr()
         assert "engine report" in captured.out
         assert "hot block" in captured.out
-        assert "guard site" in captured.out
+        assert "ends by reason" in captured.out
         doc = json.loads(out_json.read_text())
-        assert doc["schema"] == ENGINE_REPORT_SCHEMA
+        assert doc["schema"] == ENGINE_REPORT_SCHEMA == "EngineReport/v2"
         assert doc["hot_blocks"]
-        assert doc["guards"]["sites"] > 0
 
     def test_engine_report_step_tier(self, tmp_path, lbm, capsys):
         # The per-step tier produces an (empty-but-valid) report: no

@@ -26,10 +26,24 @@ PARITY_FIELDS = ("checksum", "cycles", "icount", "icache_misses",
 
 WORKLOADS = ("602.sgcc_s", "619.lbm_s", "648.exchange2_s")
 
+#: Every ISA: the link-register call/return path only runs on
+#: ppc64/aarch64, the stack-pushed return address only on x86.
+ARCHES = ("x86", "ppc64", "aarch64")
+
+#: (arch, workload) parity cases; x86 cases keep their historical
+#: workload-only ids.
+WORKLOAD_CASES = [
+    pytest.param(arch, name,
+                 id=name if arch == "x86" else f"{arch}-{name}")
+    for arch in ARCHES for name in WORKLOADS
+]
+
 
 @pytest.fixture(scope="module")
 def workload_binaries():
-    return {name: workload(name, "x86")[1] for name in WORKLOADS}
+    """Built workloads keyed by ``(arch, name)``."""
+    return {(arch, name): workload(name, arch)[1]
+            for arch in ARCHES for name in WORKLOADS}
 
 
 def _run_engine(binary, engine, costs=None, watch=False, flight=None,
@@ -51,16 +65,16 @@ def assert_parity(res_a, res_b):
 
 
 class TestEngineParity:
-    @pytest.mark.parametrize("workload", WORKLOADS)
+    @pytest.mark.parametrize("arch, workload", WORKLOAD_CASES)
     @pytest.mark.parametrize("config", ["default", "icache", "watch"])
     @pytest.mark.parametrize("observed", [False, True],
                              ids=["plain", "telemetry"])
-    def test_workload_parity(self, workload_binaries, workload, config,
-                             observed):
-        binary = workload_binaries[workload]
+    def test_workload_parity(self, workload_binaries, arch, workload,
+                             config, observed):
+        binary = workload_binaries[arch, workload]
         costs = CostModel.with_icache() if config == "icache" else None
         watch = config == "watch"
-        # Telemetry must be a pure observer: the instrumented
+        # Telemetry must be a pure observer: the observed
         # superblock tier stays bit-identical to per-step execution.
         telemetry = EngineTelemetry() if observed else None
         step, _ = _run_engine(binary, "step", costs=costs, watch=watch)
@@ -78,7 +92,7 @@ class TestEngineParity:
     def test_rewritten_binary_parity(self, workload_binaries):
         from repro.core import RewriteMode, rewrite_binary
 
-        binary = workload_binaries["619.lbm_s"]
+        binary = workload_binaries["x86", "619.lbm_s"]
         rewritten, _, runtime = rewrite_binary(binary, RewriteMode.JT,
                                                scorch_original=True)
         results = {}
@@ -90,7 +104,7 @@ class TestEngineParity:
         assert_parity(results["step"], results["superblock"])
 
     def test_cli_engine_flag_parity(self, workload_binaries):
-        binary = workload_binaries["619.lbm_s"]
+        binary = workload_binaries["x86", "619.lbm_s"]
         by_engine = {eng: run_binary(binary, engine=eng)
                      for eng in ENGINES}
         assert_parity(by_engine["step"], by_engine["superblock"])
@@ -296,7 +310,7 @@ class TestBlockCacheLifecycle:
 class TestFlightFallback:
     def test_block_granularity_rides_superblocks(self,
                                                  workload_binaries):
-        binary = workload_binaries["619.lbm_s"]
+        binary = workload_binaries["x86", "619.lbm_s"]
         flight = FlightRecorder()   # granularity="block" by default
         machine = machine_for(binary, flight=flight)
         machine.load(binary)
@@ -312,7 +326,7 @@ class TestFlightFallback:
         assert len(flight.ring) > 0
 
     def test_step_granularity_forces_per_step(self, workload_binaries):
-        binary = workload_binaries["619.lbm_s"]
+        binary = workload_binaries["x86", "619.lbm_s"]
         flight = FlightRecorder(granularity="step")
         machine = machine_for(binary, flight=flight)
         machine.load(binary)

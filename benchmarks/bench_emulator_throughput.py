@@ -9,10 +9,16 @@ execution tiers of :class:`repro.machine.cpu.CPU` on
 * three *loop-heavy kernels* (tight arithmetic loop, memory-streaming
   loop, nested loop) where hot loops close into generated ``while``
   loops and the >=5x target applies, and
-* two SPEC-personality mixes (call/return-heavy control flow) as
-  context — speedups there are bounded by trace-compile time and by
-  traces ending at every indirect call, jump and return, not by the
-  loop path.
+* two SPEC-personality mixes (call/return-heavy control flow, scaled
+  20x) as context — speedups there are bounded by trace-compile time
+  and by traces ending at every indirect call, jump and return, not by
+  the loop path.
+
+``test_spec_suite_context`` adds the runs the experiments actually
+make: every SPEC-like program, unscaled, on all three arches, as
+ungated context rows of tiered time over step time.  It also prints
+the two inputs of :data:`repro.machine.cpu.PROMOTE_AFTER`: the fuse
+cost per fused instruction and the tier-0 cost per instruction.
 
 Every measurement asserts byte-identical ``RunResult`` fields
 (checksum, cycles, icount, icache_misses, transitions, counters)
@@ -40,10 +46,12 @@ import time
 
 import pytest
 
+from repro.machine import cpu
 from repro.machine.machine import machine_for
 from repro.obs import BenchHistory, EngineTelemetry, PerfSample
 from repro.toolchain import ir
 from repro.toolchain.workloads import (
+    SPEC_BENCHMARK_NAMES,
     build_workload,
     compile_program,
     spec_workload,
@@ -117,6 +125,13 @@ def _spec_mixes():
         _, binary = build_workload(spec, "x86")
         out.append((name, binary))
     return out
+
+
+def _spec_suite():
+    """Every SPEC-like program, unscaled, per arch."""
+    return {arch: [build_workload(spec_workload(name, arch), arch)[1]
+                   for name in SPEC_BENCHMARK_NAMES]
+            for arch in ("x86", "ppc64", "aarch64")}
 
 
 def _timed_run(binary, engine, telemetry=None):
@@ -299,3 +314,62 @@ def test_disabled_telemetry_guard_overhead(benchmark, print_section,
         f"speedup          : {r['speedup']:.2f}x "
         f"(floor {SPEEDUP_FLOOR:.0f}x)",
     )
+
+
+def test_spec_suite_context(benchmark, print_section, runtime_records,
+                            monkeypatch):
+    """Ungated context: the unscaled SPEC-like suite, tiered vs step,
+    plus the measured inputs of the promotion threshold."""
+    suite = _spec_suite()
+    promote_after = cpu.PROMOTE_AFTER
+
+    def experiment():
+        rows = {}
+        for arch, binaries in suite.items():
+            step_s = tiered_s = 0.0
+            for binary in binaries:
+                _, s_s, _, t_s = _measure(binary)
+                step_s += s_s
+                tiered_s += t_s
+            rows[arch] = {"step_s": step_s, "tiered_s": tiered_s,
+                          "ratio": tiered_s / step_s}
+        everything = [b for binaries in suite.values() for b in binaries]
+        # Fuse cost: every trace promoted at first sight.
+        monkeypatch.setattr(cpu, "PROMOTE_AFTER", 1)
+        telemetry = EngineTelemetry()
+        for binary in everything:
+            _timed_run(binary, "superblock", telemetry=telemetry)
+        # Tier-0 cost: no trace ever promoted (trace building
+        # included, as a tier-0 trace pays it too).
+        monkeypatch.setattr(cpu, "PROMOTE_AFTER", 10 ** 9)
+        tier0_s = insns = 0
+        for binary in everything:
+            result, seconds = _timed_run(binary, "superblock")
+            tier0_s += seconds
+            insns += result.icount
+        fuse_us = telemetry.compile_seconds / telemetry.insns_fused * 1e6
+        tier0_us = tier0_s / insns * 1e6
+        return rows, {"fuse_us_per_insn": fuse_us,
+                      "tier0_us_per_insn": tier0_us,
+                      "break_even": fuse_us / tier0_us}
+
+    rows, costs = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    for arch, row in rows.items():
+        runtime_records(dict(row, benchmark=f"spec-suite/{arch}",
+                             tool="emulator-throughput"))
+    runtime_records(dict(costs, benchmark="promotion-inputs",
+                         tool="emulator-throughput"))
+    body = "\n".join(
+        f"spec suite {arch:<8} step {row['step_s']:6.2f}s   "
+        f"tiered {row['tiered_s']:6.2f}s   tiered/step "
+        f"{row['ratio']:.2f}"
+        for arch, row in rows.items())
+    body += (
+        f"\n\nfuse cost        : {costs['fuse_us_per_insn']:.1f} us "
+        "per fused instruction"
+        f"\ntier-0 cost      : {costs['tier0_us_per_insn']:.3f} us "
+        "per instruction"
+        f"\nbreak-even       : {costs['break_even']:.0f} dispatches "
+        f"(PROMOTE_AFTER = {promote_after})"
+        "\n\nunscaled SPEC rows are ungated context")
+    print_section("Unscaled SPEC-like suite: tiered vs per-step", body)

@@ -30,7 +30,6 @@ Examples::
 """
 
 import argparse
-import gc
 import sys
 import time
 
@@ -464,10 +463,6 @@ def cmd_perf(args):
     history = BenchHistory(args.history)
     if args.action == "record":
         program, binary = _load_workload(args.workload, args.arch)
-        # Reclaim earlier garbage (an emulated run leaves reference
-        # cycles behind) so its collection cannot land inside a timed
-        # stage of this rewrite.
-        gc.collect()
         tracer = Tracer(name=f"perf:{args.workload}",
                         memory=not args.no_mem)
         metrics = Metrics()
@@ -714,9 +709,10 @@ def cmd_run(args):
 
 def cmd_engine(args):
     """The engine observatory: run a binary with JIT telemetry attached
-    and print the ``EngineReport/v2`` — hot blocks ranked by attributed
-    cycles, trace shape with why traces ended, the compile-vs-execute
-    time split, and block-cache lifecycle counters."""
+    and print the ``EngineReport/v3`` — hot blocks ranked by attributed
+    cycles, the tier-0/tier-1 split, trace shape with why traces ended,
+    the compile-vs-execute time split, and block-cache lifecycle
+    counters."""
     binary = _read_binary(args.binary)
     runtime = None
     if "rewrite" in binary.metadata:
@@ -1006,11 +1002,11 @@ def build_parser():
     p.add_argument("--flight-granularity", choices=["block", "step"],
                    default="block",
                    help="flight-record granularity: block rides the "
-                        "fused tier (default); step demotes to the "
+                        "superblock tier (default); step demotes to the "
                         "per-step tier for per-transfer events")
     p.add_argument("--engine", choices=["superblock", "step"],
                    default="superblock",
-                   help="execution tier: fused superblocks (default) "
+                   help="execution tier: superblocks (default) "
                         "or the per-step closure loop; accounting is "
                         "identical, only speed differs")
     p.set_defaults(func=cmd_run)
@@ -1028,7 +1024,7 @@ def build_parser():
                    default="superblock",
                    help="execution tier to observe (default superblock)")
     p.add_argument("--json", metavar="FILE",
-                   help="also write the EngineReport/v2 document to "
+                   help="also write the EngineReport/v3 document to "
                         "FILE")
     p.set_defaults(func=cmd_engine)
 

@@ -16,26 +16,38 @@ Execution is tiered:
   :class:`~repro.obs.flight.FlightRecorder` is attached (per-transfer
   block events demand per-step execution).
 * **superblock tier** — the default for :meth:`CPU.run`.  At first
-  execution of an address, the run of instructions from that address up
-  to the next indirect or kernel transfer (or watch-region boundary, or
-  :data:`SUPERBLOCK_CAP`) is fused into one generated block function:
-  straight-line register/memory operations are inlined as Python source
-  and everything else calls its per-step closure.  Direct branches and
-  calls are followed; ``callr``/``jmpr``/``ret`` end the trace through
-  their per-step closures, so generated code never speculates on a
-  register-held target.  A block is dispatched once per entry with
-  pre-computed instruction/cycle deltas, so straight-line runs skip
-  per-step bookkeeping entirely.
+  execution of an address, the trace from that address up to the
+  next indirect or kernel transfer (or watch-region boundary, or
+  :data:`SUPERBLOCK_CAP`) is formed, following fall-throughs, direct
+  ``jmp``s and direct ``call``s; ``callr``/``jmpr``/``ret`` end the
+  trace through their per-step closures, so no code ever speculates
+  on a register-held target.  The trace runs in two tiers:
 
-Demotions away from the fused tier are never silent: a manual
+  - *tier 0* chains the trace's existing per-step closures: nothing
+    is compiled, a conditional branch ends a chain segment and a
+    ``pc`` check after it is the side exit;
+  - *tier 1* fuses the trace into one generated block function:
+    straight-line register/memory operations are inlined as Python
+    source with guest registers in frame locals, everything else
+    calls its per-step closure, and a trace closed by a branch back
+    to its head iterates inside the function.
+
+  The dispatch loop counts tier-0 dispatches per trace head and
+  promotes a head to tier 1 at :data:`PROMOTE_AFTER`, so compile time
+  is spent only on traces that come back.  Either way a block is
+  dispatched once per entry with pre-computed instruction/cycle
+  deltas, so straight-line runs skip per-step bookkeeping.  Under an
+  i-cache cost model blocks stay in tier 0, cut at every transfer.
+
+Demotions away from the superblock tier are never silent: a manual
 :meth:`CPU.step` on a superblock CPU and a step-granularity recorder
 attach each count a cause in :attr:`CPU.demotions` (mirrored to the
 machine's metrics as ``engine.demoted`` and traced as an
 ``engine-demoted`` event).  The default block-granularity
-:class:`~repro.obs.flight.FlightRecorder` *rides* the fused tier — one
-ring entry per block dispatch with exact trampoline-hit recovery — and
-an attached :class:`~repro.obs.engine.EngineTelemetry` observes
-fuse/compile/dispatch activity without demoting.  Generated code does
+:class:`~repro.obs.flight.FlightRecorder` *rides* both block tiers —
+one ring entry per block dispatch with exact trampoline-hit recovery —
+and an attached :class:`~repro.obs.engine.EngineTelemetry` observes
+trace-build/promotion/dispatch activity without demoting.  Blocks do
 not depend on any observer, so attaching or detaching telemetry keeps
 the block cache.  Block-cache invalidations are counted by cause in
 :attr:`CPU.invalidations` (``invalidate_code``, ``watch-region``,
@@ -53,7 +65,6 @@ illegal instruction, kernel errors — leave the same ``icount``,
 """
 
 import itertools
-import re
 import struct
 from time import perf_counter
 
@@ -82,6 +93,25 @@ ENGINES = ("superblock", "step")
 #: line longer than this is split; exactness is unaffected, because the
 #: follow-on block resumes accounting at the split point.
 SUPERBLOCK_CAP = 128
+
+#: Dispatches of a trace head before the trace is promoted from tier 0
+#: (its per-step closures, chained) to tier 1 (fused and compiled): the
+#: first ``PROMOTE_AFTER - 1`` dispatches run in tier 0, so 1 fuses
+#: every trace at first sight.
+#:
+#: Ski-rental break-even: fusing costs about 33-42 us per fused
+#: instruction and a tier-0 instruction about 0.44-0.66 us (the 57
+#: unscaled SPEC-like runs on a 2-core x86-64 VM;
+#: ``bench_emulator_throughput`` prints both), so a trace repays its
+#: compile after about 60-85 passes.  The benchmark balance can sit
+#: lower, because a loop trace promoted early iterates inside its
+#: generated ``while`` from then on: ``long-run`` (few hot loops)
+#: wants early promotion, ``spec-sweep`` (many short-lived traces)
+#: late.  Verified at 64 over 10 alternating pairs against the engine
+#: that fused every trace at first sight: ``wall_s`` -63% on
+#: spec-sweep and -17% on long-run.  Neighbouring values were tried
+#: with 2-3 runs each, too few to rank them against 64.
+PROMOTE_AFTER = 64
 
 #: Mnemonics that end a superblock: anything whose closure can move the
 #: pc non-sequentially or enter the kernel (which may redirect the pc,
@@ -126,13 +156,6 @@ _COND_SRC = {"beq": "==", "bne": "!=", "blt": "<", "bge": ">=",
 #: match tracebacks against the block's filename).
 _block_ids = itertools.count()
 
-#: Guest-register references in generated superblock source, promoted
-#: to frame locals (``r[3]`` -> ``v3``) by the allocation pass.
-_REG_REF = re.compile(r"\br\[(\d+)\]")
-#: A per-step-closure call statement in generated source (these lines
-#: operate on the shared register list, not the frame locals).
-_CLOSURE_CALL = re.compile(r"^c\d+\(\)$")
-
 #: Pre-compiled memory accessors bound into generated superblocks:
 #: ``u{size}``/``g{size}`` unpack unsigned/signed little-endian
 #: integers, ``p{size}`` packs them — measurably faster than slicing
@@ -146,19 +169,42 @@ for _size, _u, _g in ((1, "B", "b"), (2, "H", "h"),
 del _size, _u, _g
 
 
-def _inline_src(insn, msize):
+def _wrapped(dst, expr, how):
+    """``dst = expr`` reduced to 64 bits by a guarded fix-up: for a
+    small-int result this is about twice as fast as ``& mask`` with the
+    three-digit mask.  ``how``: ``"+"`` for a sum of two 64-bit values,
+    ``"-"`` for such a difference, ``"<<"`` for a left shift."""
+    fix = {"+": f"> {_MASK_SRC}: {dst} -= {1 << 64}",
+           "-": f"< 0: {dst} += {1 << 64}",
+           "<<": f"> {_MASK_SRC}: {dst} &= {_MASK_SRC}"}[how]
+    return [f"{dst} = {expr}", f"if {dst} {fix}"]
+
+
+def _add_imm(dst, src, imm):
+    """``dst = (src + imm) & mask`` as source lines; ``imm`` is an
+    encoded immediate or displacement, so ``|imm| < 2**64``."""
+    if not imm:
+        return [f"{dst} = {src}"]
+    if imm > 0:
+        return _wrapped(dst, f"{src} + {imm}", "+")
+    return _wrapped(dst, f"{src} - {-imm}", "-")
+
+
+def _inline_src(insn, msize, v):
     """Python source lines for one straight-line instruction inside a
     superblock, or ``None`` when it must run via its per-step closure.
 
     The emitted source mirrors the per-step closures statement for
     statement — including fault messages — so the two tiers are
-    byte-identical in outputs and in every counter.  Names bound in the
-    generated scope: ``s`` (the CPU), ``r`` (the register file), ``d``
-    (memory bytes), ``UF`` (:class:`UnmappedMemoryFault`), and the
-    :data:`_MEM_OPS` accessors (``u8``/``g4``/``p2``...).  Inlined operations deliberately do
-    *not* update ``s.pc``; the block seals the pc once at its end, and
-    fault recovery (:meth:`CPU._fault_index`) restores the exact pc of
-    a faulting instruction from the block's line map.
+    byte-identical in outputs and in every counter.  Guest registers
+    are frame locals named by ``v(i)``, which also records ``i`` for
+    allocation.  Other names bound in the generated scope: ``s`` (the
+    CPU), ``d`` (memory bytes), ``UF`` (:class:`UnmappedMemoryFault`),
+    and the :data:`_MEM_OPS` accessors (``u8``/``g4``/``p2``...).
+    Inlined operations deliberately do *not* update ``s.pc``; the
+    block seals the pc once at its end, and fault recovery
+    (:meth:`CPU._fault_index`) restores the exact pc of a faulting
+    instruction from the block's line map.
     """
     m = insn.mnemonic
     ops = insn.operands
@@ -169,94 +215,101 @@ def _inline_src(insn, msize):
         return []
     if m == "mov":
         rd, ra = ops
-        return [f"r[{rd}] = r[{ra}]"]
+        return [f"{v(rd)} = {v(ra)}"]
     if m == "movi":
         rd, imm = ops
-        return [f"r[{rd}] = {imm & _MASK}"]
+        return [f"{v(rd)} = {imm & _MASK}"]
     if m == "lis":
         rd, imm = ops
-        return [f"r[{rd}] = {(imm << 16) & _MASK}"]
+        return [f"{v(rd)} = {(imm << 16) & _MASK}"]
     if m == "addis":
         rd, ra, imm = ops
-        return [f"r[{rd}] = (r[{ra}] + ({imm << 16})) & {M}"]
+        return _add_imm(v(rd), v(ra), imm << 16)
     if m == "adrp":
         rd, imm = ops
-        return [f"r[{rd}] = {((addr & ~0xFFF) + (imm << 12)) & _MASK}"]
+        return [f"{v(rd)} = {((addr & ~0xFFF) + (imm << 12)) & _MASK}"]
     if m == "addi":
         rd, ra, imm = ops
-        return [f"r[{rd}] = (r[{ra}] + ({imm})) & {M}"]
-    if m in _ARITH_SRC:
+        return _add_imm(v(rd), v(ra), imm)
+    if m in ("add", "sub"):
         rd, ra, rb = ops
-        return [f"r[{rd}] = (r[{ra}] {_ARITH_SRC[m]} r[{rb}]) & {M}"]
+        return _wrapped(v(rd), f"{v(ra)} {_ARITH_SRC[m]} {v(rb)}",
+                        _ARITH_SRC[m])
+    if m in ("and", "or", "xor"):
+        # Registers always hold values in [0, 2**64), and so does any
+        # bitwise combination of two of them: no mask needed.
+        rd, ra, rb = ops
+        return [f"{v(rd)} = {v(ra)} {_ARITH_SRC[m]} {v(rb)}"]
+    if m == "mul":
+        rd, ra, rb = ops
+        return [f"{v(rd)} = ({v(ra)} * {v(rb)}) & {M}"]
     if m == "shl":
         rd, ra, rb = ops
-        return [f"r[{rd}] = (r[{ra}] << (r[{rb}] & 63)) & {M}"]
+        return _wrapped(v(rd), f"{v(ra)} << ({v(rb)} & 63)", "<<")
     if m == "shr":
         rd, ra, rb = ops
-        return [f"r[{rd}] = (r[{ra}] >> (r[{rb}] & 63)) & {M}"]
+        return [f"{v(rd)} = {v(ra)} >> ({v(rb)} & 63)"]
     if m == "shli":
         rd, ra, imm = ops
-        return [f"r[{rd}] = (r[{ra}] << {imm & 63}) & {M}"]
+        return _wrapped(v(rd), f"{v(ra)} << {imm & 63}", "<<")
     if m == "shri":
         rd, ra, imm = ops
-        return [f"r[{rd}] = r[{ra}] >> {imm & 63}"]
+        return [f"{v(rd)} = {v(ra)} >> {imm & 63}"]
     if m == "inc":
         (rd,) = ops
-        return [f"r[{rd}] = (r[{rd}] + 1) & {M}"]
-    if m in LOAD_SIZES and not m.startswith("ldpc"):
-        rd, mem_op = ops
-        size = LOAD_SIZES[m]
-        lines = [
-            f"a = (r[{mem_op.base}] + ({mem_op.disp})) & {M}",
-            f'if a + {size} > {msize}: raise UF(f"load at {{a:#x}} '
-            f'(pc={addr:#x})", pc={addr})',
-        ]
-        if m in SIGNED_LOADS:
+        return _add_imm(v(rd), v(rd), 1)
+    if m in LOAD_SIZES and not m.startswith("ldpc") or m in STORE_SIZES:
+        reg, mem_op = ops
+        load = m in LOAD_SIZES
+        size = LOAD_SIZES[m] if load else STORE_SIZES[m]
+        # A zero displacement addresses through the (already in-range)
+        # base register itself; the bounds check compares against a
+        # folded constant.
+        a = v(mem_op.base)
+        lines = []
+        if mem_op.disp:
+            lines = _add_imm("a", a, mem_op.disp)
+            a = "a"
+        lines.append(f'if {a} > {msize - size}: raise UF(f"'
+                     f'{"load" if load else "store"} at {{{a}:#x}} '
+                     f'(pc={addr:#x})", pc={addr})')
+        if not load:
+            value = v(reg) if size == 8 else \
+                f"{v(reg)} & {(1 << (size * 8)) - 1}"
+            lines.append(f"p{size}(d, {a}, {value})")
+        elif m in SIGNED_LOADS:
             # A signed unpack plus the 64-bit mask is the same value
             # the per-step closure's manual sign extension produces.
-            lines.append(f"r[{rd}] = g{size}(d, a)[0] & {M}")
+            lines.append(f"{v(reg)} = g{size}(d, {a})[0] & {M}")
         else:
-            lines.append(f"r[{rd}] = u{size}(d, a)[0]")
+            lines.append(f"{v(reg)} = u{size}(d, {a})[0]")
         return lines
-    if m in STORE_SIZES:
-        rs, mem_op = ops
-        size = STORE_SIZES[m]
-        vmask = (1 << (size * 8)) - 1
-        value = f"r[{rs}]" if size == 8 else f"r[{rs}] & {vmask}"
-        return [
-            f"a = (r[{mem_op.base}] + ({mem_op.disp})) & {M}",
-            f'if a + {size} > {msize}: raise UF(f"store at {{a:#x}} '
-            f'(pc={addr:#x})", pc={addr})',
-            f"p{size}(d, a, {value})",
-        ]
     if m.startswith("ldpc"):
         rd, disp = ops
         size = LOAD_SIZES[m]
         a = addr + disp
         if a < 0 or a + size > msize:
             return None   # always-faulting: keep the closure's raise
-        return [f"r[{rd}] = u{size}(d, {a})[0]"]
+        return [f"{v(rd)} = u{size}(d, {a})[0]"]
     if m == "leapc":
         rd, disp = ops
-        return [f"r[{rd}] = {(addr + disp) & _MASK}"]
+        return [f"{v(rd)} = {(addr + disp) & _MASK}"]
     if m == "push":
         (rs,) = ops
-        return [
-            f"a = (r[{SP}] - 8) & {M}",
-            f'if a + 8 > {msize}: '
+        return _add_imm("a", v(SP), -8) + [
+            f'if a > {msize - 8}: '
             f'raise UF(f"push at {{a:#x}}", pc={addr})',
-            f"p8(d, a, r[{rs}])",
-            f"r[{SP}] = a",
+            f"p8(d, a, {v(rs)})",
+            f"{v(SP)} = a",
         ]
     if m == "pop":
         (rd,) = ops
         return [
-            f"a = r[{SP}]",
-            f'if a + 8 > {msize}: '
+            f"a = {v(SP)}",
+            f'if a > {msize - 8}: '
             f'raise UF(f"pop at {{a:#x}}", pc={addr})',
-            f"r[{rd}] = u8(d, a)[0]",
-            f"r[{SP}] = (a + 8) & {M}",
-        ]
+            f"{v(rd)} = u8(d, a)[0]",
+        ] + _add_imm(v(SP), "a", 8)
     return None
 
 
@@ -298,10 +351,10 @@ class CPU:
         #: Optional :class:`repro.obs.engine.EngineTelemetry`; None
         #: keeps the dispatch loop at two boolean tests per block.
         self.telemetry = None
-        #: Demotions away from the fused tier, by cause (always
+        #: Demotions away from the superblock tier, by cause (always
         #: counted, telemetry attached or not).
         self.demotions = {}
-        #: Block-cache invalidations that dropped fused blocks, by
+        #: Block-cache invalidations that dropped cached blocks, by
         #: cause (always counted, telemetry attached or not).
         self.invalidations = {}
         #: Optional ``fn(cause)`` invoked on every demotion — the
@@ -312,10 +365,13 @@ class CPU:
 
         self._compiled = {}
         self._ends = {}
-        #: decoded Instruction per address (feeds the superblock fuser)
+        #: decoded Instruction per address (feeds trace formation)
         self._insns = {}
         #: superblock start address -> block record (see _build_block)
         self._blocks = {}
+        #: tier-0 trace head -> [dispatches left before promotion,
+        #: the formed trace]
+        self._heat = {}
         self._watch_regions = None
 
     # -- public API --------------------------------------------------------
@@ -328,26 +384,36 @@ class CPU:
 
     @watch_regions.setter
     def watch_regions(self, regions):
-        # Superblocks are fused with watch-region boundaries baked in,
+        # Traces are formed with watch-region boundaries baked in,
         # so changing the regions invalidates every block.
         self._watch_regions = regions
         if self._blocks:
             self._invalidate_cause("watch-region")
 
     def invalidate_code(self):
-        """Drop compiled closures and fused superblocks (call after
+        """Drop compiled closures and cached superblocks (call after
         writing to code memory)."""
+        if self._blocks:
+            self._invalidate_cause("invalidate_code")
+        self.release_code()
+
+    def release_code(self):
+        """Drop every cached closure and block, counting nothing.
+
+        Closures and blocks refer back to the CPU, so for a CPU that
+        will not run again this frees them without waiting for the
+        cycle collector."""
         self._compiled.clear()
         self._ends.clear()
         self._insns.clear()
-        if self._blocks:
-            self._invalidate_cause("invalidate_code")
+        self._blocks.clear()
+        self._heat.clear()
 
     def attach_telemetry(self, telemetry):
         """Wire an :class:`~repro.obs.engine.EngineTelemetry` in (or
         out, with ``None``).
 
-        Fused blocks do not depend on the observer, so the block cache
+        Blocks do not depend on the observer, so the block cache
         is kept.  Pre-attach demotion/invalidation tallies are folded
         into the collector so nothing is lost.
         """
@@ -359,7 +425,7 @@ class CPU:
             telemetry.seed(self.demotions, self.invalidations)
 
     def _demote(self, cause):
-        """Count one demotion away from the fused tier, by cause, and
+        """Count one demotion away from the superblock tier, by cause, and
         signal it (telemetry mirror plus the machine's ``on_demote``
         metrics/event hook)."""
         self.demotions[cause] = self.demotions.get(cause, 0) + 1
@@ -371,8 +437,9 @@ class CPU:
             cb(cause)
 
     def _invalidate_cause(self, cause):
-        """Drop every fused block and count why."""
+        """Drop every cached block and count why."""
         self._blocks.clear()
+        self._heat.clear()
         self.invalidations[cause] = \
             self.invalidations.get(cause, 0) + 1
         t = self.telemetry
@@ -385,7 +452,7 @@ class CPU:
         Always runs the per-step tier and skips the run loop's
         icache/watch/flight accounting; callers own whatever bookkeeping
         they need.  On a superblock CPU the first manual step counts a
-        ``manual-step`` demotion (once per CPU), so fused-tier escapes
+        ``manual-step`` demotion (once per CPU), so superblock escapes
         are visible in the engine observatory.
         """
         if not self._step_demoted and self.engine == "superblock":
@@ -403,10 +470,10 @@ class CPU:
     def run(self, entry=None, step_limit=None):
         """Execute until an exit syscall; returns the exit code.
 
-        Dispatches fused superblocks unless ``engine="step"`` was
+        Dispatches superblocks unless ``engine="step"`` was
         selected or a step-granularity flight recorder is attached
         (block-granularity recorders and engine telemetry ride the
-        fused tier); the last strides of a run approaching its step
+        superblock tier); the last strides of a run approaching its step
         limit always finish per-step, so the limit fault lands on the
         exact instruction.  ``icount`` is committed in a ``finally`` so
         faulting runs report exactly the instructions that completed.
@@ -440,42 +507,58 @@ class CPU:
             if self.engine == "superblock" and (
                     flight is None or flight.granularity == "block"):
                 blocks = self._blocks
+                heat = self._heat
                 build = self._build_block
+                promote = self._promote
                 telem = self.telemetry
                 observe = telem is not None or flight is not None
                 tstats = telem.block_stats if telem is not None else None
                 decoded = self._insns
-                if icache_on:
-                    # Segmented dispatch: one tag check per i-cache
-                    # line actually crossed inside the block, charged
-                    # before its instructions run — exactly the
-                    # per-step order.
-                    while self.running:
-                        b = blocks.get(self.pc)
-                        if b is None:
-                            b = build(self.pc)
-                        n = b[1]
-                        if steps + n >= limit:
-                            break
-                        if watch:
-                            region = b[2]
-                            if region is not None \
-                                    and region != prev_region:
-                                if prev_region != -1:
-                                    self.transitions += 1
-                                prev_region = region
-                        if observe:
-                            pc0 = self.pc
-                            c0 = self.cycles
-                            steps0 = steps
-                        for line, idx, seg_fns, seg_n, seg_cyc in b[3]:
-                            if tags[idx] != line:
+                while self.running:
+                    pc0 = self.pc
+                    b = blocks.get(pc0)
+                    if b is None:
+                        b = build(pc0)
+                    n = b[1]
+                    if steps + n >= limit:
+                        break
+                    if watch:
+                        region = b[2]
+                        if region is not None and region != prev_region:
+                            if prev_region != -1:
+                                self.transitions += 1
+                            prev_region = region
+                    if observe:
+                        c0 = self.cycles
+                    fused = b[0]
+                    if fused is not None:
+                        try:
+                            # Fused blocks take the remaining step
+                            # budget (loop blocks iterate internally
+                            # until it nears exhaustion) and return
+                            # the number of instructions executed.
+                            done = fused(limit - steps)
+                        except BaseException as exc:
+                            done = self._fault_index(b, exc)
+                            steps += done
+                            self.cycles += done * insn_cost
+                            raise
+                        steps += done
+                        self.cycles += done * insn_cost
+                    else:
+                        # Tier 0: the chain's closures, segment by
+                        # segment.  An i-cache tag check per segment
+                        # is charged before its instructions run —
+                        # exactly the per-step order.
+                        steps0 = steps
+                        for line, idx, fns, seg_n, seg_cyc, nxt in b[3]:
+                            if icache_on and tags[idx] != line:
                                 tags[idx] = line
                                 self.cycles += miss_cost
                                 self.icache_misses += 1
                             k = 0
                             try:
-                                for fn in seg_fns:
+                                for fn in fns:
                                     fn()
                                     k += 1
                             except BaseException:
@@ -484,70 +567,32 @@ class CPU:
                                 raise
                             steps += seg_n
                             self.cycles += seg_cyc
-                        if observe:
-                            done = steps - steps0
-                            if tstats is not None:
-                                st = tstats.get(pc0)
-                                if st is None:
-                                    tstats[pc0] = \
-                                        [1, done, self.cycles - c0]
-                                else:
-                                    st[0] += 1
-                                    st[1] += done
-                                    st[2] += self.cycles - c0
-                                if done == n and decoded[
-                                        b[4][-1]].mnemonic in _INDIRECT:
-                                    telem.indirect_exits += 1
-                            if flight is not None:
-                                flight.record_superblock(
-                                    b, self.pc, done, self.cycles)
-                else:
-                    while self.running:
-                        b = blocks.get(self.pc)
-                        if b is None:
-                            b = build(self.pc)
-                        n = b[1]
-                        if steps + n >= limit:
-                            break
-                        if watch:
-                            region = b[2]
-                            if region is not None \
-                                    and region != prev_region:
-                                if prev_region != -1:
-                                    self.transitions += 1
-                                prev_region = region
-                        if observe:
-                            pc0 = self.pc
-                            c0 = self.cycles
-                        try:
-                            # Fused blocks take the remaining step
-                            # budget (loop blocks iterate internally
-                            # until it nears exhaustion) and return
-                            # the number of instructions executed.
-                            done = b[0](limit - steps)
-                        except BaseException as exc:
-                            done = self._fault_index(b, exc)
-                            steps += done
-                            self.cycles += done * insn_cost
-                            raise
-                        steps += done
-                        self.cycles += done * insn_cost
-                        if observe:
-                            if tstats is not None:
-                                st = tstats.get(pc0)
-                                if st is None:
-                                    tstats[pc0] = \
-                                        [1, done, self.cycles - c0]
-                                else:
-                                    st[0] += 1
-                                    st[1] += done
-                                    st[2] += self.cycles - c0
-                                if done == n and decoded[
-                                        b[4][-1]].mnemonic in _INDIRECT:
-                                    telem.indirect_exits += 1
-                            if flight is not None:
-                                flight.record_superblock(
-                                    b, self.pc, done, self.cycles)
+                            if self.pc != nxt:
+                                break   # side exit (or the chain's end)
+                        done = steps - steps0
+                        hot = heat.get(pc0)
+                        if hot is not None:
+                            hot[0] -= 1
+                            if not hot[0]:
+                                del heat[pc0]
+                                promote(pc0, hot[1], b[4], b[2])
+                    if observe:
+                        if tstats is not None:
+                            st = tstats.get(pc0)
+                            if st is None:
+                                tstats[pc0] = [1, done, self.cycles - c0]
+                            else:
+                                st[0] += 1
+                                st[1] += done
+                                st[2] += self.cycles - c0
+                            if fused is None:
+                                telem.tier0_insns += done
+                            if done == n and decoded[
+                                    b[4][-1]].mnemonic in _INDIRECT:
+                                telem.indirect_exits += 1
+                        if flight is not None:
+                            flight.record_superblock(
+                                b, self.pc, done, self.cycles)
             # Per-step tier: flight recording, engine="step", and the
             # final strides of a run approaching its step limit.
             while self.running:
@@ -612,62 +657,68 @@ class CPU:
         self._insns[addr] = insn
         return self._make_closure(insn, data, msize)
 
-    # -- superblock fuser --------------------------------------------------
+    # -- superblock tiers --------------------------------------------------
 
     def _build_block(self, addr):
-        """Fuse the execution trace starting at ``addr`` into a
-        superblock.
+        """Form the execution trace starting at ``addr`` and cache its
+        tier-0 block record, a closure chain (or, with
+        :data:`PROMOTE_AFTER` at 1, its tier-1 fused block at once).
 
         Trace formation (the default): decoding follows the
-        *fall-through* of conditional branches (emitted as side exits)
-        and follows unconditional ``jmp``s (their taken-branch cost is
-        inlined), so a whole loop — head test, body, backward latch —
-        fuses into one block.  A branch or jmp targeting the trace's
-        own start closes it into a *loop trace* that iterates inside
-        the generated function.  Direct ``call``s are followed into
-        the callee (the return address is a compile-time constant).
-        Traces end at indirect and kernel transfers (``jmpr``/
-        ``callr``/``ret``/``trap``/``syscall``), which run their
-        per-step closures as the block's last instruction, at
-        :data:`SUPERBLOCK_CAP`, at watch-region boundaries, and at
-        unfetchable addresses.
+        *fall-through* of conditional branches (side exits) and
+        follows unconditional ``jmp``s, so a whole loop — head test,
+        body, backward latch — lands in one trace.  A branch or jmp
+        targeting the trace's own start closes it into a *loop
+        trace*.  Direct ``call``s are followed into the callee (the
+        return address is a compile-time constant).  Traces end at
+        indirect and kernel transfers (``jmpr``/``callr``/``ret``/
+        ``trap``/``syscall``), which run their per-step closures as
+        the block's last instruction, at :data:`SUPERBLOCK_CAP`, at
+        watch-region boundaries, and at unfetchable addresses.
 
         Under an i-cache cost model the trace is instead cut at *any*
-        control transfer, because the segmented dispatch below must
-        see a strictly sequential closure list to charge misses in
-        per-step order.
+        control transfer, because tier 0 must see a strictly
+        sequential closure list to charge misses in per-step order,
+        and the block is never promoted.  Otherwise a new trace
+        starts :data:`PROMOTE_AFTER` − 1 dispatches from promotion,
+        kept in ``_heat`` with the formed trace that :meth:`_promote`
+        fuses.
 
         The block record is a tuple ``(fn, n, region, segs, addrs,
-        linemap, filename)``:
+        linemap, filename, alloc, nowb)``:
 
-        * ``fn`` — the fused block function; called with the remaining
-          step budget, returns the number of instructions executed;
+        * ``fn`` — the fused function (``None`` in tier 0); called
+          with the remaining step budget, returns the number of
+          instructions executed;
         * ``n`` — instructions per full pass through the trace (early
           side exits return less; loop traces return accumulated
           totals);
         * ``region`` — the watch-region class shared by every
           instruction: traces are cut at watch-region boundaries, so a
           single entry check reproduces the per-step transition count;
-        * ``segs`` — per-i-cache-line segments ``(line, set_index,
-          closures, n, cycles)``, built only under an i-cache cost
-          model, so misses are charged per line actually crossed;
+        * ``segs`` — the tier-0 chain (``None`` once fused): segments
+          ``(line, set_index, closures, n, cycles, next_pc)``, cut
+          after every conditional branch and, under an i-cache cost
+          model, at every i-cache line change, so misses are charged
+          per line actually crossed; ``pc != next_pc`` after a segment
+          is the side exit;
         * ``addrs``/``linemap``/``filename`` — fault forensics: the
           instruction addresses plus the generated-source line ->
           ``(index, restore_pc)`` map that reconstructs exact partial
-          accounting when a block faults mid-flight;
+          accounting when a fused block faults mid-flight;
         * ``alloc``/``nowb`` — the guest registers promoted to frame
           locals by :meth:`_fuse` and the closure-call lines where a
           fault must not write those locals back.
         """
         telem = self.telemetry
-        t0 = perf_counter() if telem is not None else 0.0
         compiled = self._compiled
         decoded = self._insns
         watch = self._watch_regions
         if watch:
             (a_lo, a_hi), (b_lo, b_hi) = watch
-        trace = not self.costs.icache_enabled
-        reason = None   # why the trace ended (telemetry trace shape)
+        costs = self.costs
+        icache = costs.icache_enabled
+        reason = "cap"  # why the trace ended (telemetry trace shape)
         items = []      # (kind, insn, closure)
         addrs = []
         region = None
@@ -694,27 +745,27 @@ class CPU:
                     break       # watch-region boundary ends the trace
             mn = insn.mnemonic
             addrs.append(a)
-            if mn in _COND and trace:
+            if mn in _COND and not icache:
                 target = a + insn.operands[2]
                 if target == addr:
-                    items.append(("condclose", insn, None))
+                    items.append(("condclose", insn, fn))
                     reason = "loop-cond"
                     break
-                items.append(("cond", insn, None))
+                items.append(("cond", insn, fn))
                 a += insn.length
-            elif mn in ("jmp", "jmp.s") and trace:
+            elif mn in ("jmp", "jmp.s") and not icache:
                 target = a + insn.operands[0]
                 if target == addr:
-                    items.append(("jmpclose", insn, None))
+                    items.append(("jmpclose", insn, fn))
                     reason = "loop-jmp"
                     break
-                items.append(("jmp", insn, None))
+                items.append(("jmp", insn, fn))
                 a = target
-            elif mn == "call" and trace:
+            elif mn == "call" and not icache:
                 # Direct call: the return address is a compile-time
                 # constant, so the push/link inlines and the trace
                 # continues into the callee.
-                items.append(("call", insn, None))
+                items.append(("call", insn, fn))
                 a = a + insn.operands[0]
             elif mn in _TRANSFERS:
                 items.append(("end", insn, fn))
@@ -726,44 +777,49 @@ class CPU:
             if len(items) >= SUPERBLOCK_CAP:
                 break
         n = len(items)
-        if self.costs.icache_enabled:
-            # Segment the block by i-cache line, grouping consecutive
-            # runs of equal lines: the first instruction of a run can
-            # miss, the rest are guaranteed hits (nothing else touches
-            # the set in between), which is exactly the per-step check
-            # sequence.
-            insn_cost = self.costs.insn
-            line_bits = self.costs.icache_line_bits
-            mask = self.costs.icache_lines - 1
-            groups = []
-            for (_, _, fn), ia in zip(items, addrs):
-                line = ia >> line_bits
-                if groups and groups[-1][0] == line:
-                    groups[-1][2].append(fn)
-                else:
-                    groups.append([line, line & mask, [fn]])
-            segs = tuple(
-                (line, idx, tuple(seg), len(seg), len(seg) * insn_cost)
-                for line, idx, seg in groups
-            )
-            fused = linemap = filename = None
-            alloc, nowb = (), frozenset()
-            fuse_stats = (n, 0)   # every insn runs via its closure
-        else:
-            segs = None
-            fused, linemap, filename, alloc, nowb, fuse_stats = \
-                self._fuse(items, addrs)
-        block = (fused, n, region, segs, tuple(addrs),
-                 linemap, filename, alloc, nowb)
+        if telem is not None:
+            telem.record_trace(addr, n, loop=reason.startswith("loop"),
+                               reason=reason)
+        addrs = tuple(addrs)
+        if not icache and PROMOTE_AFTER <= 1:
+            return self._promote(addr, items, addrs, region)
+        # Tier 0: the trace's own per-step closures, grouped into
+        # segments (see ``segs`` above).
+        line_bits = costs.icache_line_bits
+        groups = []     # (line, first address, closures)
+        cut = True
+        for kind, insn, fn in items:
+            line = insn.addr >> line_bits if icache else 0
+            if cut or line != groups[-1][0]:
+                groups.append((line, insn.addr, []))
+            groups[-1][2].append(fn)
+            cut = kind == "cond"
+        nexts = [g[1] for g in groups[1:]] + [None]
+        mask = costs.icache_lines - 1
+        segs = tuple(
+            (line, line & mask, tuple(fns), len(fns),
+             len(fns) * costs.insn, nxt)
+            for (line, _, fns), nxt in zip(groups, nexts))
+        block = (None, n, region, segs, addrs, None, None,
+                 (), frozenset())
         self._blocks[addr] = block
+        if not icache:
+            self._heat[addr] = [PROMOTE_AFTER - 1, items]
+        return block
+
+    def _promote(self, addr, items, addrs, region):
+        """Fuse a formed trace into its tier-1 block and cache it."""
+        t0 = perf_counter()
+        fused, linemap, filename, alloc, nowb, (closures, lines) = \
+            self._fuse(items, addrs)
+        block = (fused, len(items), region, None, addrs, linemap,
+                 filename, alloc, nowb)
+        self._blocks[addr] = block
+        telem = self.telemetry
         if telem is not None:
             telem.record_compile(
-                addr, n,
-                loop=items[-1][0] in ("condclose", "jmpclose"),
-                reason=reason if reason is not None else "cap",
-                seconds=perf_counter() - t0,
-                closure_insns=fuse_stats[0],
-                source_lines=fuse_stats[1],
+                addr, len(items), seconds=perf_counter() - t0,
+                closure_insns=closures, source_lines=lines,
                 alloc_regs=len(alloc))
         return block
 
@@ -778,32 +834,48 @@ class CPU:
         * a *plain trace* runs each instruction at most once.
           Conditional branches become side exits (taken path sets the
           pc, accounts the branch, and returns its instruction count);
-          followed jmps and calls inline their taken-branch
-          accounting; the end either calls a terminator closure or
-          seals ``s.pc`` once.
+          the end either calls a terminator closure or seals ``s.pc``
+          once.
         * a *loop trace* — closed by a branch or ``jmp`` back to the
-          trace's own start — wraps the same body in ``while True``,
-          deferring taken-branch accounting to frame-local counters
-          (``done`` instructions retired in finished passes, ``t``
-          taken branches, ``u`` followed calls), flushed at every
-          exit.  Hot loops re-enter the generated ``while`` without
-          touching the dispatch loop at all, which is where
-          superblocks beat per-step execution by a wide margin.  The
-          closing branch stops iterating when one more pass would
-          reach the step budget.
+          trace's own start — wraps the same body in ``while True``
+          and counts finished passes in the frame-local ``p``.  Hot
+          loops re-enter the generated ``while`` without touching the
+          dispatch loop at all, which is where superblocks beat
+          per-step execution by a wide margin.  The closing branch
+          stops iterating when one more pass would reach the step
+          budget.
+
+        Taken-branch accounting costs nothing on the way: the costs of
+        followed jmps and calls (and, per loop pass, of the closing
+        branch) are compile-time constants, added to ``s.cycles`` and
+        ``s.taken_branches`` once at each exit.
+
+        Register allocation happens while emitting: every guest
+        register the source names becomes a frame local (``v3`` for
+        register 3), loaded once at entry and written back to the
+        register file ``r`` before every return and closure call
+        (closures operate on the shared list), then reloaded after
+        the call.  Inside a loop trace the registers live in locals
+        across iterations, which is the single biggest throughput
+        lever.
 
         Returns ``(function, linemap, filename, alloc, nowb,
         (closure_insns, source_lines))``.
         ``linemap`` maps generated line numbers to ``(index,
-        restore_pc)``: ``index`` is the number of instructions
-        completed *within the current pass* when that line raises
-        (total = frame-local ``done`` + ``index``), and ``restore_pc``
-        marks lines where the faulting instruction's pc must be
-        re-established (kernel-entering closures and post-branch
-        bookkeeping manage ``s.pc`` themselves).  ``alloc`` lists the
+        restore_pc, cycles, branches, pass_cycles, pass_branches)``:
+        ``index`` is the number of instructions completed *within the
+        current pass* when that line raises (total = ``p`` passes of
+        ``n`` + ``index``), ``restore_pc`` marks lines where the
+        faulting instruction's pc must be re-established
+        (kernel-entering closures and post-branch bookkeeping manage
+        ``s.pc`` themselves), and the costs are those owed within the
+        pass and per finished pass.  ``alloc`` lists the
         guest registers promoted to frame locals and ``nowb`` the line
-        numbers of closure calls, where fault recovery must *not*
-        write the (stale) locals back over the register file.
+        numbers of closure calls: at any other fault point the locals
+        *are* the architectural register state and
+        :meth:`_fault_index` writes them back, but a faulting closure
+        has already left its partial effects in ``r``, so there the
+        locals are stale.
         """
         msize = self.memory.size
         costs = self.costs
@@ -818,124 +890,136 @@ class CPU:
         last_kind = items[-1][0]
         loop = last_kind in ("condclose", "jmpclose")
         start = addrs[0]
-        kinds = {kind for kind, _, _ in items}
-        # Deferred cost counters for loop traces: taken branches (t)
-        # and calls (u); flushed at every exit and on fault.  A loop
-        # trace always has its closing branch, so ``t`` is always
-        # present.
-        counters = []
+        # Taken-branch costs are compile-time constants, paid only at
+        # exits: (cycles, branches) of one loop pass that closes (its
+        # followed jmps and calls plus the closing branch), and
+        # ``pend``, those owed within the pass at the current emission
+        # point.  Linemap entries carry both for fault recovery.
+        per_pass = (0, 0)
         if loop:
-            counters.append(("t", tb_cost))
-            if "call" in kinds:
-                counters.append(("u", call_cost))
-        flush_lines = []
-        if counters:
-            flush_lines.append(
-                "s.cycles += "
-                + " + ".join(f"{c} * {cost}" for c, cost in counters))
-            flush_lines.append(
-                "s.taken_branches += "
-                + " + ".join(c for c, _ in counters))
+            jumps = sum(kind in ("jmp", "condclose", "jmpclose")
+                        for kind, _, _ in items)
+            calls = sum(kind == "call" for kind, _, _ in items)
+            per_pass = (jumps * tb_cost + calls * call_cost,
+                        jumps + calls)
+        pend = [0, 0]
 
-        body = []   # (source line, linemap entry or None)
+        # (indent, source line, linemap entry or None, role): the role
+        # marks where register traffic goes once ``alloc`` is known —
+        # "load" (entry), "ret" (store first), "call" (store, then
+        # reload), "tail" (a closure call right before the return).
+        body = []
+        alloc = set()
 
-        def emit(indent, text, entry=None):
-            body.append(("    " * indent + text, entry))
+        def v(i):
+            alloc.add(i)
+            return f"v{i}"
 
-        def emit_flush(depth, entry):
-            for text in flush_lines:
-                emit(depth, text, entry)
+        def emit(indent, text, entry=None, role=None):
+            if entry is not None:
+                entry = (*entry, *pend)
+            body.append((indent, text, entry, role))
+
+        def emit_exit(depth, pc, cycles, branches, done):
+            # Leave with ``p`` finished loop passes plus ``done``
+            # instructions and the given costs of the current pass
+            # (``done`` None: settle the costs and carry on).
+            if pc is not None:
+                emit(depth, f"s.pc = {pc}")
+            if loop:
+                cycles = f"p * {per_pass[0]} + {cycles}"
+                branches = f"p * {per_pass[1]} + {branches}"
+                done = f"p * {n} + {done}"
+            if branches:
+                emit(depth, f"s.cycles += {cycles}")
+                emit(depth, f"s.taken_branches += {branches}")
+            if done is not None:
+                emit(depth, f"return {done}", role="ret")
 
         def emit_compare(depth, insn, k):
             ra, rb, _ = insn.operands
-            emit(depth, f"x = r[{ra}]", (k, True))
-            emit(depth, f"y = r[{rb}]", (k, True))
+            op = _COND_SRC[insn.mnemonic]
+            prev = items[k - 1][1] if k else None
+            if (prev is not None and prev.mnemonic == "movi"
+                    and prev.operands[0] == rb != ra):
+                # ``rb`` was just set to a constant ``c``: the signed
+                # test becomes an unsigned range test on ``ra`` alone.
+                c = prev.operands[1] & _MASK
+                if op in ("==", "!="):
+                    emit(depth, f"if {v(ra)} {op} {c}:", (k, True))
+                    return
+                c -= (c >= _SIGN) << 64
+                t = c + (op in (">", "<="))   # signed x >= t, or x < t
+                lo, hi, neg = ((t, _SIGN, False) if t >= 0
+                               else (_SIGN, t + (1 << 64), True))
+                neg ^= op in ("<", "<=")
+                emit(depth, f"if {'not ' * neg}{lo} <= {v(ra)} < {hi}:",
+                     (k, True))
+                return
+            emit(depth, f"x = {v(ra)}", (k, True))
+            emit(depth, f"y = {v(rb)}", (k, True))
             emit(depth, f"if x >= {_SIGN}: x -= {1 << 64}", (k, True))
             emit(depth, f"if y >= {_SIGN}: y -= {1 << 64}", (k, True))
-            emit(depth, f"if x {_COND_SRC[insn.mnemonic]} y:",
-                 (k, True))
+            emit(depth, f"if x {op} y:", (k, True))
 
         depth = 2 if loop else 1
         if loop:
-            emit(1, "done = 0")
-            for c, _ in counters:
-                emit(1, f"{c} = 0")
+            # ``p`` counts finished passes; ``q`` passes stay within
+            # the step budget.
+            emit(1, "p = 0")
+            emit(1, f"q = (budget - 1) // {n}")
+        emit(1, "", role="load")
+        if loop:
             emit(1, "while True:")
         for k, (kind, insn, closure) in enumerate(items):
             if kind == "s":
-                lines = _inline_src(insn, msize)
+                lines = _inline_src(insn, msize, v)
                 if lines is None:
                     names.append((f"c{k}", closure))
-                    emit(depth, f"c{k}()", (k, True))
+                    emit(depth, f"c{k}()", (k, True), "call")
                 else:
                     for line in lines:
                         emit(depth, line, (k, True))
             elif kind == "cond":
-                target = insn.addr + insn.operands[2]
                 emit_compare(depth, insn, k)
-                emit(depth + 1, f"s.pc = {target}", (k + 1, False))
-                if loop:
-                    emit(depth + 1, "t += 1", (k + 1, False))
-                    emit_flush(depth + 1, (k + 1, False))
-                    emit(depth + 1, f"return done + {k + 1}",
-                         (k + 1, False))
-                else:
-                    emit(depth + 1, f"s.cycles += {tb_cost}",
-                         (k + 1, False))
-                    emit(depth + 1, "s.taken_branches += 1",
-                         (k + 1, False))
-                    emit(depth + 1, f"return {k + 1}")
+                emit_exit(depth + 1, insn.addr + insn.operands[2],
+                          pend[0] + tb_cost, pend[1] + 1, k + 1)
             elif kind == "jmp":
                 # Followed unconditional jmp: only its cost remains.
-                if loop:
-                    emit(depth, "t += 1", (k + 1, True))
-                else:
-                    emit(depth, f"s.cycles += {tb_cost}", (k + 1, True))
-                    emit(depth, "s.taken_branches += 1", (k + 1, True))
+                pend[0] += tb_cost
+                pend[1] += 1
             elif kind == "call":
                 nxt = insn.addr + insn.length
                 if pushes:
-                    emit(depth, f"a = (r[{SP}] - 8) & {_MASK_SRC}",
-                         (k, True))
-                    emit(depth,
-                         f'if a + 8 > {msize}: raise UF(f"call at '
-                         f'{{a:#x}}", pc={insn.addr})', (k, True))
-                    emit(depth, f"p8(d, a, {nxt})", (k, True))
-                    emit(depth, f"r[{SP}] = a", (k, True))
+                    for line in _add_imm("a", v(SP), -8) + [
+                            f'if a > {msize - 8}: raise UF(f"call at '
+                            f'{{a:#x}}", pc={insn.addr})',
+                            f"p8(d, a, {nxt})", f"{v(SP)} = a"]:
+                        emit(depth, line, (k, True))
                 else:
-                    emit(depth, f"r[{LR}] = {nxt}", (k, True))
-                if loop:
-                    emit(depth, "u += 1", (k + 1, True))
-                else:
-                    emit(depth, f"s.cycles += {call_cost}",
-                         (k + 1, True))
-                    emit(depth, "s.taken_branches += 1", (k + 1, True))
+                    emit(depth, f"{v(LR)} = {nxt}", (k, True))
+                pend[0] += call_cost
+                pend[1] += 1
             elif kind == "end":
+                # The terminator may enter the kernel: settle first.
+                emit_exit(1, None, *pend, None)
+                pend[:] = [0, 0]
                 names.append((f"c{k}", closure))
                 emit(1, f"c{k}()",
-                     (k, insn.mnemonic not in ("trap", "syscall")))
+                     (k, insn.mnemonic not in ("trap", "syscall")),
+                     "tail")
                 emit(1, f"return {n}")
-            elif kind == "condclose":
-                emit_compare(2, insn, k)
-                emit(3, "t += 1", (n, False))
-                emit(3, f"done += {n}", (n, False))
-                emit(3, f"if done + {n} < budget:", (0, False))
-                emit(4, "continue", (0, False))
-                emit(3, f"s.pc = {start}", (0, False))
-                emit_flush(3, (0, False))
-                emit(3, "return done", (0, False))
-                emit(2, f"s.pc = {insn.addr + insn.length}", (n, False))
-                emit(2, f"done += {n}", (n, False))
-                emit_flush(2, (0, False))
-                emit(2, "return done", (0, False))
-            elif kind == "jmpclose":
-                emit(2, "t += 1", (n, False))
-                emit(2, f"done += {n}", (n, False))
-                emit(2, f"if done + {n} < budget:", (0, False))
-                emit(3, "continue", (0, False))
-                emit(2, f"s.pc = {start}", (0, False))
-                emit_flush(2, (0, False))
-                emit(2, "return done", (0, False))
+            else:   # the closing branch: "condclose" or "jmpclose"
+                inner = 2
+                if kind == "condclose":
+                    emit_compare(2, insn, k)
+                    inner = 3
+                emit(inner, "p += 1")
+                emit(inner, "if p < q:")
+                emit(inner + 1, "continue")
+                emit_exit(inner, start, 0, 0, 0)
+                if kind == "condclose":   # the not-taken fall-out
+                    emit_exit(2, insn.addr + insn.length, *pend, n)
         if last_kind not in ("condclose", "jmpclose", "end"):
             # Trace cut mid-stream (cap, watch boundary, unfetchable
             # next address): seal the pc of the not-taken continuation
@@ -945,68 +1029,46 @@ class CPU:
                 seal = last_insn.addr + last_insn.length
             else:   # a followed jmp/call
                 seal = last_insn.addr + last_insn.operands[0]
-            emit(1, f"s.pc = {seal}", (n, False))
-            emit(1, f"return {n}")
-        # Register allocation: every guest register the generated code
-        # touches becomes a frame local (``r[3]`` -> ``v3``), loaded
-        # once at entry, written back at every exit and around closure
-        # calls (closures operate on the shared ``r`` list).  Inside a
-        # loop trace the registers live in locals across iterations,
-        # which is the single biggest throughput lever.  At any fault
-        # point the locals *are* the architectural register state;
-        # :meth:`_fault_index` writes them back — except when the
-        # fault came from inside a closure (``nowb`` lines), where the
-        # pre-flushed ``r`` list already carries the closure's partial
-        # effects and the locals are stale.
-        alloc = tuple(sorted({int(g) for text, _ in body
-                              for g in _REG_REF.findall(text)}))
-        nowb = set()
-        if alloc:
-            load = "; ".join(f"v{i} = r[{i}]" for i in alloc)
-            store = "; ".join(f"r[{i}] = v{i}" for i in alloc)
-            head = 1 + len(counters) if loop else 0
-            out = list(body[:head])
-            out.append(("    " + load, None))
-            if loop:
-                out.append(body[head])      # the ``while True:`` line
-                head += 1
-            for text, entry in body[head:]:
-                stripped = text.lstrip()
-                indent = text[:len(text) - len(stripped)]
-                if _CLOSURE_CALL.match(stripped):
-                    out.append((indent + store, None))
-                    out.append((text, entry))
-                    nowb.add(len(out) + 1)  # final line number
-                    out.append((indent + load, None))
-                elif stripped.startswith("return"):
-                    out.append((indent + store, None))
-                    out.append((text, entry))
-                else:
-                    out.append((_REG_REF.sub(r"v\1", text), entry))
-            body = out
-        header = ("def _sb(budget, "
-                  + ", ".join(f"{nm}=_{nm}" for nm, _ in names) + "):")
-        src = header + "\n" + "\n".join(
-            text for text, _ in body) + "\n"
+            emit_exit(1, seal, *pend, n)
+        alloc = tuple(sorted(alloc))
+        load = "; ".join(f"v{i} = r[{i}]" for i in alloc)
+        store = "; ".join(f"r[{i}] = v{i}" for i in alloc)
+        src = ["def _sb(budget, "
+               + ", ".join(f"{nm}=_{nm}" for nm, _ in names) + "):"]
         linemap = {}
-        for i, (_, entry) in enumerate(body):
+        nowb = set()
+        for indent, text, entry, role in body:
+            pad = "    " * indent
+            if role is not None and alloc:
+                if role == "load":
+                    src.append(pad + load)
+                    continue
+                src.append(pad + store)
+            if text:
+                src.append(pad + text)
             if entry is not None:
-                linemap[i + 2] = entry
+                linemap[len(src)] = (*entry, *per_pass)
+            if role in ("call", "tail") and alloc:
+                nowb.add(len(src))
+                if role == "call":
+                    src.append(pad + load)
         filename = (f"<superblock {start:#x}+{n}"
                     f" #{next(_block_ids)}>")
         namespace = {f"_{nm}": value for nm, value in names}
-        exec(compile(src, filename, "exec"), namespace)
+        exec(compile("\n".join(src) + "\n", filename, "exec"), namespace)
         closures = sum(1 for nm, _ in names
                        if nm[0] == "c" and nm[1:].isdigit())
-        return (namespace["_sb"], linemap, filename, alloc,
-                frozenset(nowb), (closures, len(body)))
+        # Popped, not read: the namespace is the function's globals,
+        # so leaving the function in it would make a reference cycle.
+        return (namespace.pop("_sb"), linemap, filename, alloc,
+                frozenset(nowb), (closures, len(src) - 1))
 
     def _fault_index(self, block, exc):
         """How many instructions of ``block`` completed before ``exc``.
 
         Recovered from the traceback's line in the generated source
         plus the generated frame's locals (loop blocks keep their
-        iteration progress in ``done``/``t``), so the happy path
+        finished passes in ``p``), so the happy path
         carries no per-instruction bookkeeping at all.  Pending
         taken-branch accounting is flushed here, and the faulting
         instruction's pc is re-established where the per-step tier
@@ -1018,14 +1080,12 @@ class CPU:
         while tb is not None:
             frame = tb.tb_frame
             if frame.f_code.co_filename == block[6]:
-                idx, restore = linemap.get(tb.tb_lineno, (0, False))
+                idx, restore, owed, owed_n, pass_c, pass_n = \
+                    linemap.get(tb.tb_lineno, (0, False, 0, 0, 0, 0))
                 locs = frame.f_locals
-                t = locs.get("t", 0)
-                u = locs.get("u", 0)
-                if t or u:
-                    self.cycles += (t * self.costs.taken_branch
-                                    + u * self.costs.call)
-                    self.taken_branches += t + u
+                passes = locs.get("p", 0)
+                self.cycles += owed + passes * pass_c
+                self.taken_branches += owed_n + passes * pass_n
                 if block[7] and tb.tb_lineno not in block[8]:
                     # The frame locals are the architectural register
                     # state at the fault point (closure-call lines
@@ -1038,7 +1098,7 @@ class CPU:
                             regs[i] = locs[name]
                 if restore and idx < len(addrs):
                     self.pc = addrs[idx]
-                return locs.get("done", 0) + idx
+                return passes * block[1] + idx
             tb = tb.tb_next
         return 0
 

@@ -194,4 +194,12 @@ def run_binary(binary, runtime_lib=None, costs=None, bias=None,
         machine.install_runtime(runtime_lib, image)
     if watch_bounce is not None:
         machine.watch_bounce(*watch_bounce)
-    return machine.run(image)
+    try:
+        return machine.run(image)
+    finally:
+        # The machine is unreachable from here on, but its closures
+        # and blocks refer back to the CPU, so it would wait for a full
+        # cycle collection, in whatever code runs next.  Free the code
+        # caches and the emulated memory, its largest part, now.
+        machine.cpu.release_code()
+        machine.memory.data.clear()

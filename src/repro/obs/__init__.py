@@ -21,8 +21,8 @@ discipline of :mod:`repro.obs.store`.
 
 :mod:`repro.obs.engine` is the engine observatory: the
 :class:`EngineTelemetry` collector the superblock JIT feeds at
-fuse/compile/dispatch time, read out as a schema-versioned
-``EngineReport/v2`` via :func:`render_engine_report`.
+trace-build/promotion/dispatch time, read out as a schema-versioned
+``EngineReport/v3`` via :func:`render_engine_report`.
 """
 
 from repro.obs.atlas import (

@@ -2,18 +2,20 @@
 
 The superblock tier makes the emulator fast; this module makes it
 *legible*.  An :class:`EngineTelemetry` attached to a
-:class:`repro.machine.Machine` is fed by the superblock tier at two
+:class:`repro.machine.Machine` is fed by the superblock tier at three
 moments:
 
-* **fuse/compile time** — per-block compile wall seconds, trace shape
-  (length, loop closure, why the trace ended), and codegen-pass
-  accounting (instructions inlined as source vs routed through per-step
-  closures, registers promoted to frame locals, generated source
-  lines);
+* **trace build** — every trace formed into a tier-0 closure chain:
+  its shape (length, loop closure, why the trace ended);
+* **promotion** — every trace fused and compiled into tier 1:
+  compile wall seconds and codegen-pass accounting (instructions
+  inlined as source vs routed through per-step closures, registers
+  promoted to frame locals, generated source lines);
 * **dispatch time** — per-block execution counts with exact
   instruction and cycle attribution (one entry/instructions/cycles
-  triple per block start address), block-cache hit accounting, and a
-  count of the indirect transfers that ended a dispatched trace.
+  triple per block start address), the instructions that ran in
+  tier 0, block-cache hit accounting, and a count of the indirect
+  transfers that ended a dispatched trace.
 
 Generated blocks do not depend on the collector, so attaching keeps
 the block cache.  Detached CPUs pay only the established ``is None``
@@ -21,16 +23,16 @@ discipline: two boolean tests per *block dispatch* (not per
 instruction), held under the 2% budget by
 ``benchmarks/bench_emulator_throughput.py``.
 
-Demotions away from the fused tier (a step-granularity
+Demotions away from the superblock tier (a step-granularity
 :class:`~repro.obs.flight.FlightRecorder` attach, a manual
 :meth:`~repro.machine.cpu.CPU.step`) and block-cache invalidations
 (``invalidate_code``, watch-region change, recorder attach) are
 counted by cause on the CPU whether or not telemetry is attached, and
 mirrored here when it is.
 
-Everything reads out as a schema-versioned :data:`EngineReport/v2
-<ENGINE_REPORT_SCHEMA>` document — hot-block top-N, trace shape,
-compile-vs-execute time split — rendered by
+Everything reads out as a schema-versioned :data:`EngineReport/v3
+<ENGINE_REPORT_SCHEMA>` document — hot-block top-N, trace shape, tier
+split, compile-vs-execute time split — rendered by
 :func:`render_engine_report` and surfaced as ``repro engine report``.
 """
 
@@ -39,7 +41,7 @@ import json
 from repro.obs.metrics import Histogram
 
 #: Schema tag; bump when a field changes meaning.
-ENGINE_REPORT_SCHEMA = "EngineReport/v2"
+ENGINE_REPORT_SCHEMA = "EngineReport/v3"
 
 #: Default number of hot blocks a report ranks.
 DEFAULT_TOP = 10
@@ -64,9 +66,15 @@ class EngineTelemetry:
         #: trace (indirect targets are resolved by dispatch, never
         #: speculated inside a trace)
         self.indirect_exits = 0
+        #: dispatched instructions that ran in tier 0 (the rest of
+        #: :attr:`block_instructions` ran fused)
+        self.tier0_insns = 0
         self.top_blocks = top_blocks
 
-        # -- compile-time accounting
+        # -- trace-build and promotion accounting
+        #: traces formed into tier-0 closure chains
+        self.traces = 0
+        #: traces promoted to tier 1 (fused and compiled)
         self.compiles = 0
         self.compile_seconds = 0.0
         self.insns_fused = 0
@@ -96,8 +104,8 @@ class EngineTelemetry:
         """Wire this collector into a machine's CPU.
 
         Attaching keeps the block cache (blocks built before the
-        attach are dispatched and attributed, but their compiles were
-        not observed) and the fused tier keeps running — telemetry
+        attach are dispatched and attributed, but their builds were
+        not observed) and the superblock tier keeps running — telemetry
         never demotes.
         """
         machine.telemetry = self
@@ -115,9 +123,18 @@ class EngineTelemetry:
 
     # -- hooks (called from the CPU when attached) --------------------------
 
-    def record_compile(self, start, n, loop, reason, seconds,
-                       closure_insns, source_lines, alloc_regs):
-        """One superblock fused and compiled."""
+    def record_trace(self, start, n, loop, reason):
+        """One trace formed into a tier-0 closure chain."""
+        self.traces += 1
+        if loop:
+            self.loop_blocks += 1
+        self.trace_lengths.observe(n)
+        self.ends_by_reason[reason] = \
+            self.ends_by_reason.get(reason, 0) + 1
+
+    def record_compile(self, start, n, seconds, closure_insns,
+                       source_lines, alloc_regs):
+        """One trace promoted: fused and compiled into tier 1."""
         self.compiles += 1
         self.compile_seconds += seconds
         self.insns_fused += n
@@ -125,11 +142,6 @@ class EngineTelemetry:
         self.inlined_insns += n - closure_insns
         self.source_lines += source_lines
         self.alloc_regs += alloc_regs
-        if loop:
-            self.loop_blocks += 1
-        self.trace_lengths.observe(n)
-        self.ends_by_reason[reason] = \
-            self.ends_by_reason.get(reason, 0) + 1
 
     def record_demotion(self, cause):
         self.demotions[cause] = self.demotions.get(cause, 0) + 1
@@ -174,18 +186,25 @@ class EngineTelemetry:
         ]
 
     def report(self, top=None):
-        """The schema-versioned ``EngineReport/v2`` document."""
+        """The schema-versioned ``EngineReport/v3`` document."""
         top = self.top_blocks if top is None else top
         execute = max(0.0, self.run_seconds - self.compile_seconds)
+        instructions = self.block_instructions
         return {
             "schema": ENGINE_REPORT_SCHEMA,
             "engine": self.engine,
             "blocks": {
                 "compiled": self.compiles,
                 "dispatches": self.dispatches,
-                "instructions": self.block_instructions,
+                "instructions": instructions,
                 "cycles": sum(s[2] for s in self.block_stats.values()),
                 "indirect_exits": self.indirect_exits,
+            },
+            "tiers": {
+                "traces": self.traces,
+                "promoted": self.compiles,
+                "tier0_instructions": self.tier0_insns,
+                "fused_instructions": instructions - self.tier0_insns,
             },
             "hot_blocks": self.hot_blocks(top),
             "trace_shape": {
@@ -204,8 +223,10 @@ class EngineTelemetry:
                 "source_lines": self.source_lines,
             },
             "cache": {
-                # Every dispatch either hit the block cache or compiled.
-                "hits": max(0, self.dispatches - self.compiles),
+                # Every dispatch either hit the block cache or built
+                # a trace (promotion replaces a record after a hit).
+                "hits": max(0, self.dispatches - self.traces),
+                "traces": self.traces,
                 "compiles": self.compiles,
                 "invalidations": dict(sorted(
                     self.invalidations.items())),
@@ -238,7 +259,7 @@ def render_engine_report(source, top=None):
     :func:`repro.obs.flight.render_flight_report`).
 
     ``source`` is an :class:`EngineTelemetry` or an already-built
-    ``EngineReport/v2`` dict.
+    ``EngineReport/v3`` dict.
     """
     r = source.report(top) if hasattr(source, "report") else source
     lines = [f"engine report ({r['engine'] or '?'})", "-" * 64]
@@ -249,6 +270,14 @@ def render_engine_report(source, top=None):
         f"{b['dispatches']} dispatches, "
         f"{b['instructions']:,} instructions, {b['cycles']:,} cycles, "
         f"{b['indirect_exits']} indirect exits"
+    )
+
+    tiers = r["tiers"]
+    lines.append(
+        f"tiers             : promoted {tiers['promoted']} of "
+        f"{tiers['traces']} traces; "
+        f"{tiers['tier0_instructions']:,} insns in tier 0, "
+        f"{tiers['fused_instructions']:,} fused"
     )
 
     shape = r["trace_shape"]
@@ -284,7 +313,7 @@ def render_engine_report(source, top=None):
     inval = cache["invalidations"]
     lines.append(
         f"block cache       : {cache['hits']} hits, "
-        f"{cache['compiles']} compiles"
+        f"{cache['traces']} traces, {cache['compiles']} compiles"
         + (", invalidated " + ", ".join(
             f"{cause}={n}" for cause, n in inval.items())
            if inval else "")

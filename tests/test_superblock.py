@@ -4,14 +4,19 @@ The superblock tier must be a pure speed change: every observable —
 ``RunResult`` fields, per-fault ``icount``/``cycles``/``pc``, register
 state at a fault, kernel counters — must match the per-step tier bit
 for bit, across cost models, watch regions, rewritten binaries, and
-faulting runs.
+faulting runs.  The parity and fault classes run three times over:
+at the default promotion threshold, fusing every trace at first sight
+(``PROMOTE_AFTER = 1``), and never promoting (every trace stays a
+tier-0 closure chain).
 """
+
+import gc
 
 import pytest
 
 from repro.isa import Instruction as I, Mem, get_arch
 from repro.isa.registers import R0, R1, R2, R3
-from repro.machine import CostModel, machine_for, run_binary
+from repro.machine import CostModel, cpu, machine_for, run_binary
 from repro.obs import EngineTelemetry, FlightRecorder, Metrics
 from repro.util.errors import MachineFault, UnmappedMemoryFault
 
@@ -64,7 +69,23 @@ def assert_parity(res_a, res_b):
         assert getattr(res_a, field) == getattr(res_b, field), field
 
 
-class TestEngineParity:
+class TierConfig:
+    """Runs a test class's tests under one promotion threshold."""
+
+    #: ``cpu.PROMOTE_AFTER`` under test; None keeps the default.
+    promote_after = None
+
+    @pytest.fixture(autouse=True)
+    def _promote_after(self, monkeypatch):
+        if self.promote_after is not None:
+            monkeypatch.setattr(cpu, "PROMOTE_AFTER", self.promote_after)
+
+
+#: A threshold no test run reaches: every trace stays in tier 0.
+NEVER = 10 ** 9
+
+
+class TestEngineParity(TierConfig):
     @pytest.mark.parametrize("arch, workload", WORKLOAD_CASES)
     @pytest.mark.parametrize("config", ["default", "icache", "watch"])
     @pytest.mark.parametrize("observed", [False, True],
@@ -110,7 +131,15 @@ class TestEngineParity:
         assert_parity(by_engine["step"], by_engine["superblock"])
 
 
-class TestFaultAccounting:
+class TestEngineParityFuseFirst(TestEngineParity):
+    promote_after = 1
+
+
+class TestEngineParityNeverPromote(TestEngineParity):
+    promote_after = NEVER
+
+
+class TestFaultAccounting(TierConfig):
     def test_fault_keeps_icount(self):
         # The historical bug: CPU.run raised before adding the step
         # count, so faulting runs under-reported instructions.  Both
@@ -182,6 +211,70 @@ class TestFaultAccounting:
         assert states["step"] == states["superblock"]
         assert states["step"][0] > 3     # actually looped
 
+    def test_fault_after_followed_transfers(self):
+        # A trace that follows a jmp and a call before faulting owes
+        # their taken-branch costs at the fault point.
+        spec = get_arch("x86")
+        binary = assemble("x86", [
+            I("movi", R1, 1 << 40),
+            I("jmp", spec.insn_length("jmp")),
+            I("call", spec.insn_length("call")),
+            I("ld64", R3, Mem(R1, 0)),
+            I("syscall", 0),
+        ])
+        states = {}
+        for engine in ENGINES:
+            machine = machine_for(binary, engine=engine)
+            machine.load(binary)
+            with pytest.raises(UnmappedMemoryFault):
+                machine.run()
+            cpu = machine.cpu
+            states[engine] = (cpu.icount, cpu.cycles, cpu.taken_branches,
+                              cpu.pc, list(cpu.regs))
+        assert states["step"] == states["superblock"]
+        assert states["step"][2] == 2
+
+    def test_loop_with_followed_call(self):
+        # A loop trace's per-pass costs include the calls it follows.
+        spec = get_arch("x86")
+        body = [I("addi", R1, R1, -1), I("call", spec.insn_length("call"))]
+        back = -sum(spec.insn_length(i) for i in body)
+        binary = assemble("x86", [I("movi", R1, 200), I("movi", R2, 0),
+                                  *body, I("bne", R1, R2, back),
+                                  I("syscall", 0)])
+        by_engine = {eng: _run_engine(binary, eng)[1].cpu
+                     for eng in ENGINES}
+        states = {eng: (c.icount, c.cycles, c.taken_branches, c.regs)
+                  for eng, c in by_engine.items()}
+        assert states["step"] == states["superblock"]
+
+    @pytest.mark.parametrize("folded", [True, False],
+                             ids=["const", "reg"])
+    def test_signed_compare_edges(self, folded):
+        # Conditional branches compare signed 64-bit values; a branch
+        # right after a ``movi`` of its second operand compares against
+        # the folded constant.
+        spec = get_arch("x86")
+        edges = (0, 1, (1 << 63) - 1, -(1 << 63), -1)
+        for mnemonic, cond in cpu._COND.items():
+            for x in edges:
+                for c in edges:
+                    prefix = [I("movi", R2, c), I("movi", R1, x)]
+                    if folded:
+                        prefix.reverse()
+                    tail = [I("movi", R0, 1), I("syscall", 0)]
+                    skip = spec.insn_length(mnemonic) + sum(
+                        spec.insn_length(i) for i in tail)
+                    binary = assemble("x86", [
+                        *prefix, I(mnemonic, R1, R2, skip), *tail,
+                        I("movi", R0, 2), I("syscall", 0)])
+                    want = 2 if cond(x, c) else 1
+                    for engine in ENGINES:
+                        machine = machine_for(binary, engine=engine)
+                        machine.load(binary)
+                        assert machine.run().exit_code == want, \
+                            (engine, mnemonic, x, c)
+
     def test_step_limit_exact(self):
         binary = assemble("x86", [I("jmp", 0)])   # jmp-to-self
         states = {}
@@ -210,6 +303,50 @@ class TestFaultAccounting:
                 machine.run()
             counted = metrics.counter_values()["machine.instructions"]
             assert counted == machine.cpu.icount == 2, engine
+
+
+class TestFaultAccountingFuseFirst(TestFaultAccounting):
+    promote_after = 1
+
+
+class TestFaultAccountingNeverPromote(TestFaultAccounting):
+    promote_after = NEVER
+
+
+class TestPromotion:
+    def test_lbm_promotes_mid_run(self, workload_binaries):
+        binary = workload_binaries["x86", "619.lbm_s"]
+        telemetry = EngineTelemetry()
+        step, _ = _run_engine(binary, "step")
+        sb, machine = _run_engine(binary, "superblock",
+                                  telemetry=telemetry)
+        assert_parity(step, sb)
+        # Some traces ran in tier 0 and some came back often enough to
+        # be fused: both tiers executed instructions in one run.
+        assert 0 < telemetry.compiles < telemetry.traces
+        assert 0 < telemetry.tier0_insns < sb.icount
+        blocks = machine.cpu._blocks.values()
+        assert any(b[0] is None for b in blocks)
+        assert any(b[0] is not None for b in blocks)
+
+    @pytest.mark.parametrize("threshold", [1, 2, 5])
+    def test_promotion_after_threshold(self, monkeypatch, threshold):
+        # A jmp-to-self trace runs in tier 0 for PROMOTE_AFTER - 1
+        # dispatches; the fused loop then iterates until the step
+        # budget nears its end, and per-step execution finishes.
+        monkeypatch.setattr(cpu, "PROMOTE_AFTER", threshold)
+        binary = assemble("x86", [I("jmp", 0)])
+        telemetry = EngineTelemetry()
+        machine = machine_for(binary, step_limit=1000,
+                              telemetry=telemetry)
+        machine.load(binary)
+        with pytest.raises(MachineFault, match="step limit"):
+            machine.run()
+        assert machine.cpu.icount == 1000
+        assert telemetry.traces == telemetry.compiles == 1
+        assert telemetry.tier0_insns == threshold - 1
+        (entries, _, _), = telemetry.block_stats.values()
+        assert entries == threshold
 
 
 class TestCostModel:
@@ -305,6 +442,25 @@ class TestBlockCacheLifecycle:
         assert cpu._blocks
         machine.watch_bounce((BASE, BASE + 8), (BASE + 8, BASE + 64))
         assert not cpu._blocks
+
+    def test_run_binary_frees_its_machine_promptly(self, workload_binaries,
+                                                   monkeypatch):
+        # Closures and fused blocks refer back to the CPU.  A finished
+        # run_binary drops them, so only the machine's own handful of
+        # objects (not thousands of closures, cells and generated
+        # functions) is left for the cycle collector.
+        monkeypatch.setattr(cpu, "PROMOTE_AFTER", 1)   # fuse everything
+        binary = workload_binaries["x86", "619.lbm_s"]
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run_binary(binary)
+            garbage = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert garbage < 100
 
 
 class TestFlightFallback:
